@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .ilrma_t import AlgorithmVariant, RunResult, projection_back, run
+from .ilrma_t import VARIANTS, AlgorithmVariant, RunResult, projection_back, run
 from .linalg import NumericalError, SolveCounter
-from .metrics import align_permutation, evaluate, si_sdr
+from .metrics import evaluate
 from .sim import SyntheticRoomConfig, make_sources, mix
 from .stacking import TapConfig
 from .stft import Spectrogram, StftConfig, analyze, synthesize
@@ -29,20 +29,6 @@ from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 class ConfigError(ValueError):
     """Bad config file, flag combination, or input layout."""
-
-
-# Expected dense solves per (iteration, frequency bin), with N sources.
-def solves_per_bin_iteration(variant: AlgorithmVariant, n_sources: int) -> int:
-    return {
-        AlgorithmVariant.ILRMA_IP: 2 * n_sources,
-        AlgorithmVariant.ILRMA_T_IP: 2 * n_sources,
-        AlgorithmVariant.WPE_ILRMA_IP: 2 * n_sources,
-        AlgorithmVariant.ILRMA_ISS: 0,
-        AlgorithmVariant.ILRMA_T_ISS_SEQ: 0,
-        AlgorithmVariant.WPE_ILRMA_ISS: 0,
-        AlgorithmVariant.ILRMA_T_ISS_JOINT: n_sources,
-        AlgorithmVariant.WPE: 1,
-    }[variant]
 
 
 @dataclass
@@ -58,7 +44,6 @@ class RunConfig:
     hop: int = 256
     seed: int = 0
     wpe_init_iters: int = 3
-    reference: str = "direct-path"
 
     def __post_init__(self) -> None:
         AlgorithmVariant.from_name(self.variant)
@@ -72,8 +57,6 @@ class RunConfig:
             raise ConfigError("n_bases must be positive")
         if self.wpe_init_iters < 0:
             raise ConfigError("wpe_init_iters must be non-negative")
-        if self.reference not in ("direct-path", "anechoic"):
-            raise ConfigError("reference must be 'direct-path' or 'anechoic'")
         try:
             StftConfig(self.frame_len, self.hop)
         except ValueError as exc:
@@ -264,7 +247,7 @@ def _write_report(
     n_bins, n_frames, n_channels = shape
     trace = result.trace
     iters = trace.iterations
-    expected = solves_per_bin_iteration(variant, n_channels)
+    expected = VARIANTS[variant].solve_law(n_channels)
     measured = (
         (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * n_bins)
         if iters > 0
@@ -343,38 +326,18 @@ def cmd_eval(
         raise ConfigError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
     report = evaluate(refs, ests, mixture, rate_r)
 
-    payload = {
-        "mode": mode,
-        "permutation": list(report.permutation),
-        "si_sdr": report.si_sdr,
-        "si_sir": report.si_sir,
-        "cepstral_distance": report.cepstral_distance,
-        "delta_si_sdr": report.delta_si_sdr,
-        "delta_si_sir": report.delta_si_sir,
-        "mean": {
-            "si_sdr": float(np.mean(report.si_sdr)),
-            "si_sir": float(np.mean(report.si_sir)),
-            "cepstral_distance": float(np.mean(report.cepstral_distance)),
-            "delta_si_sdr": report.mean_delta_si_sdr,
-            "delta_si_sir": report.mean_delta_si_sir,
-        },
-    }
+    scores = {k: v for k, v in asdict(report).items() if k != "permutation"}
+    means = {k: float(np.mean(v)) for k, v in scores.items()}
+    payload = {"mode": mode, "permutation": list(report.permutation), **scores, "mean": means}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["source", "si_sdr", "si_sir", "cepstral_distance", "delta_si_sdr", "delta_si_sir"])
+        writer.writerow(["source", *scores])
         for i in range(refs.shape[0]):
-            writer.writerow(
-                [i, report.si_sdr[i], report.si_sir[i], report.cepstral_distance[i],
-                 report.delta_si_sdr[i], report.delta_si_sir[i]]
-            )
-        writer.writerow(
-            ["mean", payload["mean"]["si_sdr"], payload["mean"]["si_sir"],
-             payload["mean"]["cepstral_distance"], payload["mean"]["delta_si_sdr"],
-             payload["mean"]["delta_si_sir"]]
-        )
+            writer.writerow([i, *(v[i] for v in scores.values())])
+        writer.writerow(["mean", *means.values()])
     return payload
 
 
@@ -416,16 +379,6 @@ def _load_matrix(path: str | Path) -> dict:
     return matrix
 
 
-def _mean_delta_si_sdr(refs: np.ndarray, ests: np.ndarray, mixture: np.ndarray) -> float:
-    perm = align_permutation(refs, ests)
-    base_perm = align_permutation(refs, mixture)
-    deltas = [
-        si_sdr(refs[i], ests[perm[i]]) - si_sdr(refs[i], mixture[base_perm[i]])
-        for i in range(refs.shape[0])
-    ]
-    return float(np.mean(deltas))
-
-
 def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
     matrix, variant_name, n_sources, seed = job
     base = {"variant": variant_name, "n_sources": n_sources, "seed": seed}
@@ -453,7 +406,7 @@ def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
             if iteration > 0 and variant is not AlgorithmVariant.WPE:
                 y, _ = projection_back(dm, y)
             est = synthesize(Spectrogram(y.transpose(0, 2, 1), spec.config, spec.n_samples))
-            deltas[iteration] = _mean_delta_si_sdr(refs, est, result.mixture)
+            deltas[iteration] = evaluate(refs, est, result.mixture, fs).mean_delta_si_sdr
 
         run_result = run(
             variant,
@@ -467,7 +420,7 @@ def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
             callback_every=matrix["metric_every"],
         )
         final_est = synthesize(run_result.outputs)
-        deltas[matrix["iterations"]] = _mean_delta_si_sdr(refs, final_est, result.mixture)
+        deltas[matrix["iterations"]] = evaluate(refs, final_est, result.mixture, fs).mean_delta_si_sdr
         rows = []
         for iteration in sorted(deltas):
             rows.append(
@@ -481,7 +434,7 @@ def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
             )
         return rows
     except Exception as exc:  # failed cells are recorded, the sweep continues
-        return [base | {"iteration": "", "cost": "", "delta_si_sdr": "", "status": f"error:{type(exc).__name__}"}]
+        return [base | {"iteration": "", "cost": "", "delta_si_sdr": "", "status": f"error:{type(exc).__name__}: {exc}"}]
 
 
 def cmd_bench(matrix_path: str | Path, out_dir: str | Path, workers: int | None = None) -> Path:
@@ -536,6 +489,29 @@ def cmd_bench(matrix_path: str | Path, out_dir: str | Path, workers: int | None 
 # ---------------------------------------------------------------- argparse
 
 
+# ``simulate`` flags, each overriding the room-config key of its name:
+# (key, type, help).
+_ROOM_FLAGS = (
+    ("n_sources", int, None),
+    ("sample_rate", int, None),
+    ("rt60", float, None),
+    ("snr", float, "linear signal-to-noise power ratio"),
+    ("seed", int, None),
+    ("duration", float, "builtin source length in seconds"),
+    ("tail_gain", float, None),
+    ("max_direct_delay", int, None),
+)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _overrides(args: argparse.Namespace, names: list[str]) -> dict:
+    """The config keys among ``names`` whose flag was given."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drbss",
@@ -546,30 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="synthesize a reverberant mixture with references")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--config", help="JSON file with room settings")
-    sim.add_argument("--n-sources", type=int)
-    sim.add_argument("--sample-rate", type=int)
-    sim.add_argument("--rt60", type=float)
-    sim.add_argument("--snr", type=float, help="linear signal-to-noise power ratio")
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--duration", type=float, help="builtin source length in seconds")
-    sim.add_argument("--tail-gain", type=float)
-    sim.add_argument("--max-direct-delay", type=int)
+    for name, kind, text in _ROOM_FLAGS:
+        sim.add_argument(_flag(name), type=kind, help=text)
     sim.add_argument("--wav", action="append", help="mono source WAV (repeat per source)")
 
     sep = sub.add_parser("separate", help="separate a mixture WAV")
     sep.add_argument("mixture", help="multichannel mixture WAV")
     sep.add_argument("--out", required=True, help="output directory")
     sep.add_argument("--config", help="JSON run config")
-    sep.add_argument("--variant")
-    sep.add_argument("--iterations", type=int)
-    sep.add_argument("--taps", type=int)
-    sep.add_argument("--delay", type=int)
-    sep.add_argument("--n-bases", type=int)
-    sep.add_argument("--frame-len", type=int)
-    sep.add_argument("--hop", type=int)
-    sep.add_argument("--seed", type=int)
-    sep.add_argument("--wpe-init-iters", type=int)
-    sep.add_argument("--reference", choices=["direct-path", "anechoic"])
+    for f in fields(RunConfig):
+        sep.add_argument(_flag(f.name), type=type(f.default))
 
     ev = sub.add_parser("eval", help="score estimates against references")
     ev.add_argument("--refs", required=True, help="simulate output dir (or a dir of reference WAVs)")
@@ -588,35 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
     data = RunConfig.load(args.config).to_dict() if args.config else RunConfig().to_dict()
-    overrides = {
-        "variant": args.variant,
-        "iterations": args.iterations,
-        "taps": args.taps,
-        "delay": args.delay,
-        "n_bases": args.n_bases,
-        "frame_len": args.frame_len,
-        "hop": args.hop,
-        "seed": args.seed,
-        "wpe_init_iters": args.wpe_init_iters,
-        "reference": args.reference,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update(_overrides(args, [f.name for f in fields(RunConfig)]))
     return RunConfig.from_dict(data)
 
 
 def _room_config_from_args(args: argparse.Namespace) -> tuple[SyntheticRoomConfig, float]:
     data = _load_json_dict(args.config) if args.config else {}
-    overrides = {
-        "n_sources": args.n_sources,
-        "sample_rate": args.sample_rate,
-        "rt60": args.rt60,
-        "snr": args.snr,
-        "seed": args.seed,
-        "duration": args.duration,
-        "tail_gain": args.tail_gain,
-        "max_direct_delay": args.max_direct_delay,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update(_overrides(args, [name for name, _, _ in _ROOM_FLAGS]))
     if args.wav and "n_sources" not in data:
         data["n_sources"] = len(args.wav)
     if "n_sources" not in data:

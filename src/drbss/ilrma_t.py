@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,14 +31,7 @@ from .nmf import NmfVarianceModel, init_model, nmf_update, variance
 from .separation import ip_update_row, iss_source_sweep, weighted_cov
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
-from .wpe import (
-    WpeState,
-    wpe_dereverb,
-    wpe_filter_update,
-    wpe_objective,
-    wpe_run,
-    wpe_variance_update,
-)
+from .wpe import wpe_run
 
 
 class AlgorithmVariant(enum.Enum):
@@ -59,14 +53,6 @@ class AlgorithmVariant(enum.Enum):
         except ValueError:
             options = ", ".join(v.value for v in cls)
             raise ValueError(f"unknown variant {name!r}; expected one of: {options}") from None
-
-
-# Variants whose filter carries prediction taps.
-_TAPPED = {
-    AlgorithmVariant.ILRMA_T_IP,
-    AlgorithmVariant.ILRMA_T_ISS_JOINT,
-    AlgorithmVariant.ILRMA_T_ISS_SEQ,
-}
 
 
 @dataclass
@@ -147,8 +133,10 @@ def _steering_sweep_over_taps(
     coordinate minimization. Touches only column ``k`` of the free
     rows, so the determinant never moves.
     """
-    inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     n = dm.n_channels
+    if sx.dim == n:
+        return
+    inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     for k in range(n, sx.dim):
         tap = sx.tilde[:, k, :]
         num = np.einsum("fmt,ft->fm", outputs * inv, tap.conj())
@@ -200,7 +188,7 @@ def ilrma_t_iss_seq_iteration(
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
     """Source-steering sweep, then scalar sweeps over every tap column."""
-    iss_source_sweep(dm.matrix, outputs, variances, counter)
+    iss_source_sweep(dm.matrix, outputs, variances)
     _steering_sweep_over_taps(dm, sx, variances, outputs)
     return outputs
 
@@ -213,20 +201,40 @@ def ilrma_t_iss_joint_iteration(
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
     """Source-steering sweep, then one exact block solve per tap row."""
-    iss_source_sweep(dm.matrix, outputs, variances, counter)
+    iss_source_sweep(dm.matrix, outputs, variances)
     _joint_tap_update(dm, sx, variances, outputs, counter)
     return outputs
 
 
-_ITERATIONS = {
-    AlgorithmVariant.ILRMA_IP: ilrma_t_ip_iteration,
-    AlgorithmVariant.ILRMA_T_IP: ilrma_t_ip_iteration,
-    AlgorithmVariant.ILRMA_ISS: ilrma_t_iss_seq_iteration,
-    AlgorithmVariant.ILRMA_T_ISS_JOINT: ilrma_t_iss_joint_iteration,
-    AlgorithmVariant.ILRMA_T_ISS_SEQ: ilrma_t_iss_seq_iteration,
-    AlgorithmVariant.WPE_ILRMA_IP: ilrma_t_ip_iteration,
-    AlgorithmVariant.WPE_ILRMA_ISS: ilrma_t_iss_seq_iteration,
+@dataclass(frozen=True)
+class VariantSpec:
+    """Everything that tells one variant apart from the others.
+
+    ``step`` is the filter update per iteration (None for plain
+    dereverberation), ``tapped`` whether the filter carries prediction
+    taps, ``wpe_first`` whether a dereverberation pass runs before
+    separation, and ``solve_law(n_sources)`` the dense solves per
+    frequency bin per iteration.
+    """
+
+    step: Callable | None
+    tapped: bool
+    wpe_first: bool
+    solve_law: Callable[[int], int]
+
+
+VARIANTS = {
+    AlgorithmVariant.ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, False, lambda n: 2 * n),
+    AlgorithmVariant.ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, False, lambda n: 0),
+    AlgorithmVariant.ILRMA_T_IP: VariantSpec(ilrma_t_ip_iteration, True, False, lambda n: 2 * n),
+    AlgorithmVariant.ILRMA_T_ISS_JOINT: VariantSpec(ilrma_t_iss_joint_iteration, True, False, lambda n: n),
+    AlgorithmVariant.ILRMA_T_ISS_SEQ: VariantSpec(ilrma_t_iss_seq_iteration, True, False, lambda n: 0),
+    AlgorithmVariant.WPE: VariantSpec(None, False, False, lambda n: 1),
+    AlgorithmVariant.WPE_ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, True, lambda n: 2 * n),
+    AlgorithmVariant.WPE_ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, True, lambda n: 0),
 }
+# ``run`` looks each step up here, so it can be replaced per variant.
+_ITERATIONS = {v: s.step for v, s in VARIANTS.items() if s.step is not None}
 
 
 def projection_back(
@@ -282,13 +290,12 @@ def run(
     taps = taps if taps is not None else TapConfig(5, 2)
     counter = counter if counter is not None else SolveCounter()
 
-    if variant is AlgorithmVariant.WPE:
+    traits = VARIANTS[variant]
+    if traits.step is None:
         return _run_wpe(spec, taps, iterations, counter, callback, callback_every)
 
-    work = spec
-    if variant in (AlgorithmVariant.WPE_ILRMA_IP, AlgorithmVariant.WPE_ILRMA_ISS):
-        work = wpe_run(spec, taps, wpe_iterations, counter)
-    eff_taps = taps if variant in _TAPPED else TapConfig(0, taps.delay)
+    work = wpe_run(spec, taps, wpe_iterations, counter) if traits.wpe_first else spec
+    eff_taps = taps if traits.tapped else TapConfig(0, taps.delay)
 
     sx = build_stacked(work, eff_taps)
     n_bins, n_frames, n_channels = work.data.shape
@@ -335,32 +342,20 @@ def _run_wpe(
     callback_every: int = 0,
 ) -> RunResult:
     """Plain dereverberation: the trace carries the prediction objective."""
-    sx = build_stacked(spec, taps)
-    x = np.ascontiguousarray(spec.data.transpose(0, 2, 1))
-    state = WpeState(
-        coeffs=np.zeros((spec.n_bins, spec.n_channels, sx.dim - spec.n_channels), dtype=np.complex128),
-        variances=wpe_variance_update(x),
-        taps=taps,
-    )
     dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TapConfig(0, taps.delay))
     trace = CostTrace()
-    trace.costs.append(wpe_objective(x, state.variances))
-    trace.cumulative_solves.append(counter.iteration_solves)
-    if callback is not None:
-        callback(0, x, dm)
-    out = spec
-    for i in range(iterations):
-        t0 = time.perf_counter()
-        wpe_filter_update(state, sx, spec, counter)
-        out = wpe_dereverb(state, spec, sx)
-        z = out.data.transpose(0, 2, 1)
-        state.variances = wpe_variance_update(z)
-        value = wpe_objective(z, state.variances)
-        trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite objective at iteration {i + 1}")
-        trace.costs.append(value)
+    t0 = time.perf_counter()
+
+    def record(i: int, dereverbed: np.ndarray) -> None:
+        nonlocal t0
+        if i > 0:
+            trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
+            if not np.isfinite(trace.costs[-1]):
+                raise NumericalError(f"non-finite objective at iteration {i}")
         trace.cumulative_solves.append(counter.iteration_solves)
-        if callback is not None and callback_every > 0 and (i + 1) % callback_every == 0:
-            callback(i + 1, z, dm)
+        if callback is not None and (i == 0 or (callback_every > 0 and i % callback_every == 0)):
+            callback(i, dereverbed, dm)
+        t0 = time.perf_counter()
+
+    out = wpe_run(spec, taps, iterations, counter, trace.costs, record)
     return RunResult(out, trace, dm, None)

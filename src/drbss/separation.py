@@ -78,14 +78,12 @@ def iss_update_source(
     outputs: np.ndarray,
     variances: np.ndarray,
     n: int,
-    counter: SolveCounter | None = None,
 ) -> None:
     """Rank-1 source-steering update around pivot source ``n``, in place.
 
     Subtracts ``gains[m] * row_n`` from every free row and keeps the
     outputs consistent incrementally. No linear solves.
     """
-    del counter  # solve-free by construction
     n_src = outputs.shape[1]
     gains = iss_coefficients(outputs, variances, n)
     pivot_row = matrix[:, n, :].copy()
@@ -98,8 +96,7 @@ def iss_source_sweep(
     matrix: np.ndarray,
     outputs: np.ndarray,
     variances: np.ndarray,
-    counter: SolveCounter | None = None,
 ) -> None:
     """One full steering sweep over sources 0..N-1 in ascending order."""
     for n in range(outputs.shape[1]):
-        iss_update_source(matrix, outputs, variances, n, counter)
+        iss_update_source(matrix, outputs, variances, n)

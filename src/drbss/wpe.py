@@ -76,11 +76,14 @@ def wpe_run(
     iterations: int,
     counter: SolveCounter | None = None,
     trace: list[float] | None = None,
+    callback=None,
 ) -> Spectrogram:
     """Alternate variance, filter, and dereverberation steps.
 
     If ``trace`` is given, the objective is appended once before the
-    first iteration and once after each iteration.
+    first iteration and once after each iteration. ``callback(iteration,
+    dereverbed)`` is invoked at the same points, after the objective,
+    with the live (F, M, T) residual.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -95,14 +98,15 @@ def wpe_run(
         taps=taps,
     )
     z = x
-    if trace is not None:
-        trace.append(wpe_objective(z, state.variances))
     out = spec
-    for _ in range(iterations):
-        wpe_filter_update(state, sx, spec, counter)
-        out = wpe_dereverb(state, spec, sx)
-        z = out.data.transpose(0, 2, 1)
-        state.variances = wpe_variance_update(z)
+    for i in range(iterations + 1):
+        if i > 0:
+            wpe_filter_update(state, sx, spec, counter)
+            out = wpe_dereverb(state, spec, sx)
+            z = out.data.transpose(0, 2, 1)
+            state.variances = wpe_variance_update(z)
         if trace is not None:
             trace.append(wpe_objective(z, state.variances))
+        if callback is not None:
+            callback(i, z)
     return out

@@ -1,5 +1,6 @@
 """Batch pipeline: config handling, artifacts, exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -14,6 +15,7 @@ from drbss.cli import (
     cmd_eval,
     cmd_separate,
     cmd_simulate,
+    build_parser,
     main,
     read_wav,
     room_config_from_dict,
@@ -57,7 +59,7 @@ def test_run_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         RunConfig(frame_len=300, hop=100)
     with pytest.raises(ConfigError):
-        RunConfig(reference="closest-mic")
+        RunConfig(taps=-1)
 
 
 def test_room_config_from_dict():
@@ -232,6 +234,7 @@ def test_bench_grid_with_failed_cell(tmp_path):
     assert {r["variant"] for r in ok} == {"ilrma-iss", "wpe"}
     assert all(r["n_sources"] == "5" for r in errors)
     assert len(errors) == 2
+    assert all(r["status"] == "error:ValueError: n_sources must be between 1 and 4" for r in errors)
     for variant in ("ilrma-iss", "wpe"):
         iters = [int(r["iteration"]) for r in ok if r["variant"] == variant]
         assert iters == [0, 2, 4]
@@ -279,9 +282,38 @@ def test_main_exit_codes(tmp_path):
     )
     assert code == 3
 
+    # prediction needs at least one tap
+    code = main(
+        ["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "m4"),
+         "--variant", "wpe", "--taps", "0", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
+    )
+    assert code == 2
+
     # missing input file
     code = main(
         ["separate", str(tmp_path / "nope.wav"), "--out", str(tmp_path / "m3"),
          "--variant", "ilrma-ip", "--iterations", "1"]
     )
     assert code == 4
+
+
+def _option_strings(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [opt for action in sub.choices[command]._actions for opt in action.option_strings]
+
+
+def test_cli_surface_is_pinned(tmp_path, capsys):
+    assert _option_strings("separate") == [
+        "-h", "--help", "--out", "--config", "--variant", "--iterations", "--taps", "--delay",
+        "--n-bases", "--frame-len", "--hop", "--seed", "--wpe-init-iters",
+    ]
+    assert _option_strings("simulate") == [
+        "-h", "--help", "--out", "--config", "--n-sources", "--sample-rate", "--rt60", "--snr",
+        "--seed", "--duration", "--tail-gain", "--max-direct-delay", "--wav",
+    ]
+    # run configs written before the unused ``reference`` key was removed
+    old_cfg = tmp_path / "old.json"
+    old_cfg.write_text(json.dumps({"variant": "ilrma-ip", "reference": "direct-path"}))
+    code = main(["separate", str(tmp_path / "x.wav"), "--out", str(tmp_path / "o"), "--config", str(old_cfg)])
+    assert code == 2
+    assert "unknown config keys: reference" in capsys.readouterr().err
