@@ -31,7 +31,7 @@ from .stacking import (
     split_filter,
 )
 from .stft import Spectrogram, StftConfig, analyze, synthesize
-from .wpe import WpeState, wpe_dereverb, wpe_filter_update, wpe_run, wpe_variance_update
+from .wpe import wpe_dereverb, wpe_filter_update, wpe_run, wpe_variance_update
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "StftConfig",
     "SyntheticRoomConfig",
     "TapConfig",
-    "WpeState",
     "align_permutation",
     "analyze",
     "build_stacked",

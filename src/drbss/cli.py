@@ -10,7 +10,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -21,7 +20,7 @@ from scipy.io import wavfile
 
 from .ilrma_t import VARIANTS, AlgorithmVariant, RunResult, projection_back, run
 from .linalg import NumericalError, SolveCounter
-from .metrics import evaluate
+from .metrics import evaluate, mean_delta_si_sdr
 from .sim import SyntheticRoomConfig, make_sources, mix
 from .stacking import TapConfig
 from .stft import Spectrogram, StftConfig, analyze, synthesize
@@ -46,21 +45,25 @@ class RunConfig:
     wpe_init_iters: int = 3
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         AlgorithmVariant.from_name(self.variant)
         if self.iterations < 0:
             raise ConfigError("iterations must be non-negative")
-        if self.taps < 0:
-            raise ConfigError("taps must be non-negative")
-        if self.delay < 1:
-            raise ConfigError("delay must be at least one frame")
         if self.n_bases < 1:
             raise ConfigError("n_bases must be positive")
         if self.wpe_init_iters < 0:
             raise ConfigError("wpe_init_iters must be non-negative")
         try:
             StftConfig(self.frame_len, self.hop)
+            TapConfig(self.taps, self.delay)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+
+    def stft(self, sample_rate: int) -> StftConfig:
+        return StftConfig(self.frame_len, self.hop, sample_rate)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -129,15 +132,15 @@ def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     data = dict(data)
-    duration = float(data.pop("duration", 4.0))
-    if duration <= 0:
-        raise ConfigError("duration must be positive")
-    for key in ("direct_delays", "direct_gains"):
-        if data.get(key) is not None:
-            data[key] = tuple(tuple(row) for row in data[key])
-    if "snr" in data and isinstance(data["snr"], str):
-        data["snr"] = float(data["snr"])
     try:
+        duration = float(data.pop("duration", 4.0))
+        if duration <= 0:
+            raise ConfigError("duration must be positive")
+        for key in ("direct_delays", "direct_gains"):
+            if data.get(key) is not None:
+                data[key] = tuple(tuple(row) for row in data[key])
+        if "snr" in data and isinstance(data["snr"], str):
+            data["snr"] = float(data["snr"])
         return SyntheticRoomConfig(**data), duration
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
@@ -200,29 +203,36 @@ def cmd_simulate(
 # ---------------------------------------------------------------- separate
 
 
-def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Path) -> Path:
-    """Separate a mixture WAV; write estimates, trace.csv, report.json."""
-    sample_rate, x = read_wav(mixture_path)
-    spec = analyze(x, StftConfig(config.frame_len, config.hop, sample_rate))
-    counter = SolveCounter()
-    variant = AlgorithmVariant.from_name(config.variant)
+def _separate(
+    config: RunConfig, x: np.ndarray, sample_rate: int, **options
+) -> tuple[Spectrogram, RunResult]:
+    """Analyze a (M, S) signal and run ``config`` on it; ``options`` go to ``run``."""
+    spec = analyze(x, config.stft(sample_rate))
     result = run(
-        variant,
+        AlgorithmVariant.from_name(config.variant),
         spec,
         iterations=config.iterations,
         taps=TapConfig(config.taps, config.delay),
         n_bases=config.n_bases,
         seed=config.seed,
         wpe_iterations=config.wpe_init_iters,
-        counter=counter,
+        **options,
     )
+    return spec, result
+
+
+def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Path) -> Path:
+    """Separate a mixture WAV; write estimates, trace.csv, report.json."""
+    sample_rate, x = read_wav(mixture_path)
+    counter = SolveCounter()
+    spec, result = _separate(config, x, sample_rate, counter=counter)
     estimates = synthesize(result.outputs)
     out = Path(out_dir)
     (out / "estimates").mkdir(parents=True, exist_ok=True)
     for i in range(estimates.shape[0]):
         write_wav(out / "estimates" / f"src{i:02d}.wav", sample_rate, estimates[i])
     _write_trace(out / "trace.csv", result)
-    _write_report(out / "report.json", config, variant, spec.data.shape, counter, result)
+    _write_report(out / "report.json", config, spec.data.shape, counter, result)
     return out
 
 
@@ -239,7 +249,6 @@ def _write_trace(path: Path, result: RunResult) -> None:
 def _write_report(
     path: Path,
     config: RunConfig,
-    variant: AlgorithmVariant,
     shape: tuple[int, int, int],
     counter: SolveCounter,
     result: RunResult,
@@ -247,7 +256,7 @@ def _write_report(
     n_bins, n_frames, n_channels = shape
     trace = result.trace
     iters = trace.iterations
-    expected = VARIANTS[variant].solve_law(n_channels)
+    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(n_channels)
     measured = (
         (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * n_bins)
         if iters > 0
@@ -343,6 +352,8 @@ def cmd_eval(
 
 # ---------------------------------------------------------------- bench
 
+# Grid axes and bench's own defaults; every other run and room setting
+# defaults as in ``RunConfig`` and ``SyntheticRoomConfig``.
 _MATRIX_DEFAULTS = {
     "variants": None,  # required
     "n_sources": [2],
@@ -353,74 +364,56 @@ _MATRIX_DEFAULTS = {
     "sample_rate": 8000,
     "frame_len": 256,
     "hop": 64,
-    "rt60": 0.3,
-    "snr": 100.0,
-    "taps": 5,
-    "delay": 2,
-    "n_bases": 2,
-    "wpe_init_iters": 3,
-    "tail_gain": 0.35,
 }
+# Settings shared by every cell: ``RunConfig`` fields, and the room keys
+# of ``room_config_from_dict``.
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"variant", "seed"}
+_ROOM_KEYS = {"sample_rate", "rt60", "snr", "tail_gain", "duration"}
 
 
 def _load_matrix(path: str | Path) -> dict:
+    """The matrix, with one validated ``RunConfig`` per variant and the room."""
     data = _load_json_dict(path)
-    unknown = sorted(set(data) - set(_MATRIX_DEFAULTS))
+    unknown = sorted(set(data) - set(_MATRIX_DEFAULTS) - _RUN_KEYS - _ROOM_KEYS)
     if unknown:
         raise ConfigError(f"unknown matrix keys: {', '.join(unknown)}")
-    matrix = dict(_MATRIX_DEFAULTS)
-    matrix.update(data)
+    matrix = _MATRIX_DEFAULTS | data
     if not matrix["variants"]:
         raise ConfigError("matrix must list at least one variant")
-    for name in matrix["variants"]:
-        AlgorithmVariant.from_name(name)
-    if matrix["metric_every"] < 1:
-        raise ConfigError("metric_every must be positive")
+    if type(matrix["metric_every"]) is not int or matrix["metric_every"] < 1:
+        raise ConfigError("metric_every must be a positive integer")
+    run_keys = {k: v for k, v in matrix.items() if k in _RUN_KEYS}
+    matrix["configs"] = [RunConfig.from_dict(run_keys | {"variant": name}) for name in matrix["variants"]]
+    # n_sources is a grid axis: an unsupported count fails its own cells only
+    room = {k: v for k, v in matrix.items() if k in _ROOM_KEYS}
+    matrix["room"], matrix["duration"] = room_config_from_dict(room | {"n_sources": 1})
     return matrix
 
 
-def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
-    matrix, variant_name, n_sources, seed = job
-    base = {"variant": variant_name, "n_sources": n_sources, "seed": seed}
+def _bench_cell(job: tuple[RunConfig, SyntheticRoomConfig, float, int, int]) -> list[dict]:
+    config, room, duration, metric_every, n_sources = job
+    base = {"variant": config.variant, "n_sources": n_sources, "seed": config.seed}
     try:
-        variant = AlgorithmVariant.from_name(variant_name)
-        fs = matrix["sample_rate"]
-        n_samples = int(round(matrix["duration"] * fs))
-        cfg = SyntheticRoomConfig(
-            n_sources,
-            sample_rate=fs,
-            rt60=matrix["rt60"],
-            snr=matrix["snr"],
-            seed=seed,
-            tail_gain=matrix["tail_gain"],
-        )
-        sources = make_sources(n_sources, n_samples, fs, seed)
-        result = mix(sources, cfg)
+        room = replace(room, n_sources=n_sources, seed=config.seed)
+        fs = room.sample_rate
+        sources = make_sources(n_sources, int(round(duration * fs)), fs, config.seed)
+        result = mix(sources, room)
         refs = result.direct_images[:, 0, :]
-        spec = analyze(result.mixture, StftConfig(matrix["frame_len"], matrix["hop"], fs))
 
         deltas: dict[int, float] = {}
 
         def checkpoint(iteration: int, outputs: np.ndarray, dm) -> None:
             y = outputs.copy()
-            if iteration > 0 and variant is not AlgorithmVariant.WPE:
+            if iteration > 0 and config.variant != AlgorithmVariant.WPE.value:
                 y, _ = projection_back(dm, y)
-            est = synthesize(Spectrogram(y.transpose(0, 2, 1), spec.config, spec.n_samples))
-            deltas[iteration] = evaluate(refs, est, result.mixture, fs).mean_delta_si_sdr
+            est = synthesize(Spectrogram(y.transpose(0, 2, 1), config.stft(fs), sources.shape[1]))
+            deltas[iteration] = mean_delta_si_sdr(refs, est, result.mixture)
 
-        run_result = run(
-            variant,
-            spec,
-            iterations=matrix["iterations"],
-            taps=TapConfig(matrix["taps"], matrix["delay"]),
-            n_bases=matrix["n_bases"],
-            seed=seed,
-            wpe_iterations=matrix["wpe_init_iters"],
-            callback=checkpoint,
-            callback_every=matrix["metric_every"],
+        _, run_result = _separate(
+            config, result.mixture, fs, callback=checkpoint, callback_every=metric_every
         )
         final_est = synthesize(run_result.outputs)
-        deltas[matrix["iterations"]] = evaluate(refs, final_est, result.mixture, fs).mean_delta_si_sdr
+        deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, result.mixture)
         rows = []
         for iteration in sorted(deltas):
             rows.append(
@@ -437,14 +430,12 @@ def _bench_cell(job: tuple[dict, str, int, int]) -> list[dict]:
         return [base | {"iteration": "", "cost": "", "delta_si_sdr": "", "status": f"error:{type(exc).__name__}: {exc}"}]
 
 
-def cmd_bench(matrix_path: str | Path, out_dir: str | Path, workers: int | None = None) -> Path:
+def cmd_bench(matrix_path: str | Path, out_dir: str | Path, workers: int = 1) -> Path:
     """Run a variant/sources/seed grid; write curves.csv and summary.csv."""
     matrix = _load_matrix(matrix_path)
-    if workers is None:
-        workers = int(os.environ.get("DRBSS_WORKERS", "1"))
     jobs = [
-        (matrix, variant, n, seed)
-        for variant in matrix["variants"]
+        (replace(config, seed=seed), matrix["room"], matrix["duration"], matrix["metric_every"], n)
+        for config in matrix["configs"]
         for n in matrix["n_sources"]
         for seed in matrix["seeds"]
     ]
@@ -543,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run a variants x sources x seeds grid")
     be.add_argument("matrix", help="JSON benchmark matrix")
     be.add_argument("--out", required=True, help="output directory")
-    be.add_argument("--workers", type=int, help="parallel cells (default: DRBSS_WORKERS or 1)")
+    be.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
 
     return parser
 

@@ -27,7 +27,7 @@ from .linalg import (
     add_loading,
     checked_solve,
 )
-from .nmf import NmfVarianceModel, init_model, nmf_update, variance
+from .nmf import init_model, model_cost, nmf_update, variance
 from .separation import ip_update_row, iss_source_sweep, weighted_cov
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
@@ -93,8 +93,7 @@ def cost(dm: ExtendedDemixer, outputs: np.ndarray, variances: np.ndarray) -> flo
         bad = int(np.flatnonzero(~np.isfinite(logdet))[0])
         raise NumericalError(f"singular separation block at frequency bin {bad}")
     det_term = -2.0 * n_frames * float(np.sum(logdet))
-    power = np.abs(outputs.transpose(1, 0, 2)) ** 2
-    return det_term + float(np.sum(power / variances + np.log(variances)))
+    return det_term + model_cost(_power(outputs), variances)
 
 
 def ilrma_t_ip_iteration(
@@ -173,7 +172,6 @@ def _joint_tap_update(
         corr.conj()[..., None],
         "tap normal matrix",
         counter,
-        sx.n_bins * n,
     )
     gains = sol[..., 0].conj()
     dm.matrix[:, :n, n:] -= gains
@@ -252,7 +250,7 @@ def projection_back(
     rhs = np.zeros((n, 1), dtype=np.complex128)
     rhs[0, 0] = 1.0
     scales = checked_solve(
-        dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, dm.n_bins, projection=True
+        dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True
     )[..., 0]
     return outputs * scales[:, :, None], scales
 

@@ -46,11 +46,11 @@ class SolveCounter:
         self.projection_solves += int(n)
 
 
-def add_loading(mats: np.ndarray, rel: float = DIAGONAL_LOADING) -> np.ndarray:
-    """Return ``mats + (rel * trace / dim) * I`` over the last two axes."""
+def add_loading(mats: np.ndarray) -> np.ndarray:
+    """Return ``mats + (DIAGONAL_LOADING * trace / dim) * I`` over the last two axes."""
     dim = mats.shape[-1]
     tr = np.trace(mats, axis1=-2, axis2=-1).real
-    return mats + (rel / dim) * tr[..., None, None] * np.eye(dim)
+    return mats + (DIAGONAL_LOADING / dim) * tr[..., None, None] * np.eye(dim)
 
 
 def checked_solve(
@@ -58,7 +58,6 @@ def checked_solve(
     rhs: np.ndarray,
     what: str,
     counter: SolveCounter | None = None,
-    n_systems: int | None = None,
     projection: bool = False,
 ) -> np.ndarray:
     """Batched ``solve(mats, rhs)`` with diagnostics and solve tallying.
@@ -79,8 +78,7 @@ def checked_solve(
             f"singular {what} at frequency bin {bin_index}"
         ) from None
     if counter is not None:
-        if n_systems is None:
-            n_systems = int(np.prod(mats.shape[:-2])) if mats.ndim > 2 else 1
+        n_systems = int(np.prod(mats.shape[:-2]))
         if projection:
             counter.count_projection(n_systems)
         else:

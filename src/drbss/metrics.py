@@ -156,9 +156,28 @@ class EvalReport:
     def mean_delta_si_sdr(self) -> float:
         return float(np.mean(self.delta_si_sdr))
 
-    @property
-    def mean_delta_si_sir(self) -> float:
-        return float(np.mean(self.delta_si_sir))
+
+def _aligned(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray):
+    """References, the estimates' permutation, and the aligned estimates and mixture."""
+    refs = np.asarray(references, dtype=np.float64)
+    ests = np.asarray(estimates, dtype=np.float64)
+    mix = np.asarray(mixture, dtype=np.float64)
+    if mix.ndim == 1:
+        mix = mix[None, :]
+    perm = align_permutation(refs, ests)
+    return refs, perm, ests[list(perm)], mix[list(align_permutation(refs, mix))]
+
+
+def _si_sdr_and_delta(refs: np.ndarray, ests: np.ndarray, base: np.ndarray) -> tuple[list, list]:
+    """Per-source SI-SDR of aligned estimates and its gain over ``base``."""
+    sdr = [si_sdr(r, e) for r, e in zip(refs, ests)]
+    return sdr, [s - si_sdr(r, b) for s, r, b in zip(sdr, refs, base)]
+
+
+def mean_delta_si_sdr(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray) -> float:
+    """``evaluate(...).mean_delta_si_sdr`` without SI-SIR or cepstral distance."""
+    refs, _, ests, base = _aligned(references, estimates, mixture)
+    return float(np.mean(_si_sdr_and_delta(refs, ests, base)[1]))
 
 
 def evaluate(
@@ -173,20 +192,9 @@ def evaluate(
     exhaustive assignment as the estimates, so scoring the mixture
     against itself yields exactly zero deltas.
     """
-    refs = np.asarray(references, dtype=np.float64)
-    ests = np.asarray(estimates, dtype=np.float64)
-    mix = np.asarray(mixture, dtype=np.float64)
-    if mix.ndim == 1:
-        mix = mix[None, :]
-    perm = align_permutation(refs, ests)
-    base_perm = align_permutation(refs, mix)
-    sdr, sir, cd, d_sdr, d_sir = [], [], [], [], []
-    for i in range(refs.shape[0]):
-        est = ests[perm[i]]
-        base = mix[base_perm[i]]
-        sdr.append(si_sdr(refs[i], est))
-        sir.append(si_sir(refs, est, i))
-        cd.append(cepstral_distance(refs[i], est, sample_rate))
-        d_sdr.append(sdr[-1] - si_sdr(refs[i], base))
-        d_sir.append(sir[-1] - si_sir(refs, base, i))
+    refs, perm, ests, base = _aligned(references, estimates, mixture)
+    sdr, d_sdr = _si_sdr_and_delta(refs, ests, base)
+    sir = [si_sir(refs, e, i) for i, e in enumerate(ests)]
+    cd = [cepstral_distance(r, e, sample_rate) for r, e in zip(refs, ests)]
+    d_sir = [s - si_sir(refs, b, i) for i, (s, b) in enumerate(zip(sir, base))]
     return EvalReport(perm, sdr, sir, cd, d_sdr, d_sir)

@@ -29,10 +29,6 @@ class NmfVarianceModel:
     def n_sources(self) -> int:
         return self.bases.shape[0]
 
-    @property
-    def n_bases(self) -> int:
-        return self.bases.shape[1]
-
 
 def init_model(
     n_sources: int, n_bases: int, n_bins: int, n_frames: int, seed: int

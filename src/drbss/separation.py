@@ -44,10 +44,10 @@ def ip_update_row(
     n = n_channels
     rhs = np.zeros((n, 1), dtype=np.complex128)
     rhs[row, 0] = 1.0
-    a = checked_solve(matrix[:, :n, :n], rhs, "separation block", counter, n_bins)[..., 0]
+    a = checked_solve(matrix[:, :n, :n], rhs, "separation block", counter)[..., 0]
     if dim > n:
         a = np.concatenate([a, np.zeros((n_bins, dim - n), dtype=np.complex128)], axis=1)
-    u = checked_solve(cov, a[..., None], "weighted covariance", counter, n_bins)[..., 0]
+    u = checked_solve(cov, a[..., None], "weighted covariance", counter)[..., 0]
     scale = np.einsum("fd,fd->f", a.conj(), u).real
     if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
         bad = int(np.flatnonzero((scale <= 0) | ~np.isfinite(scale))[0])

@@ -41,6 +41,9 @@ class SyntheticRoomConfig:
     direct_gains: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_sources", "sample_rate", "seed", "max_direct_delay"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be int, got {getattr(self, name)!r}")
         if not 1 <= self.n_sources <= 4:
             raise ValueError("n_sources must be between 1 and 4")
         if self.sample_rate <= 0:
@@ -51,6 +54,8 @@ class SyntheticRoomConfig:
             raise ValueError("snr must be positive (may be inf)")
         if self.max_direct_delay < 0:
             raise ValueError("max_direct_delay must be non-negative")
+        if self.tail_gain < 0:
+            raise ValueError("tail_gain must be non-negative")
 
     @property
     def n_mics(self) -> int:

@@ -42,7 +42,6 @@ class StackedObservation:
 
     tilde: np.ndarray
     n_channels: int
-    taps: TapConfig
     config: StftConfig
     n_samples: int | None = None
 
@@ -77,7 +76,7 @@ def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
         shift = taps.delay + j - 1
         if shift < n_frames:
             tilde[:, j * n_channels : (j + 1) * n_channels, shift:] = x[:, :, : n_frames - shift]
-    return StackedObservation(tilde, n_channels, taps, spec.config, spec.n_samples)
+    return StackedObservation(tilde, n_channels, spec.config, spec.n_samples)
 
 
 @dataclass
@@ -140,5 +139,5 @@ def split_filter(
     tail = dm.matrix[:, :n, n:]
     if tail.shape[2] == 0:
         return w.copy(), tail.copy()
-    zbar = -checked_solve(w, tail, "separation block", counter, dm.n_bins)
+    zbar = -checked_solve(w, tail, "separation block", counter)
     return w.copy(), zbar

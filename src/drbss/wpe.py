@@ -7,22 +7,12 @@ objective sum(|z|^2 / (M r) + log r) stops improving.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve
+from .nmf import model_cost
 from .stacking import StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
-
-
-@dataclass
-class WpeState:
-    """Prediction coefficients (F, M, M*taps) and variance track (F, T)."""
-
-    coeffs: np.ndarray
-    variances: np.ndarray
-    taps: TapConfig = field(default_factory=lambda: TapConfig(5, 2))
 
 
 def wpe_variance_update(dereverbed: np.ndarray) -> np.ndarray:
@@ -31,43 +21,39 @@ def wpe_variance_update(dereverbed: np.ndarray) -> np.ndarray:
 
 
 def wpe_filter_update(
-    state: WpeState,
+    variances: np.ndarray,
     sx: StackedObservation,
     spec: Spectrogram,
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
-    """Re-solve the prediction coefficients for the current variances.
+    """Solve the prediction coefficients for the (F, T) variance track.
 
     One (loaded) normal-equation solve per frequency, shared by all
-    channels. Returns the new (F, M, M*taps) coefficients and stores
-    them on ``state``.
+    channels. Returns the (F, M, M*taps) coefficients.
     """
     if sx.n_frames == 0:
         raise ValueError("cannot fit a prediction filter on zero frames")
     x = spec.data.transpose(0, 2, 1)  # (F, M, T)
     past = sx.past
-    inv = 1.0 / state.variances  # (F, T)
+    inv = 1.0 / variances  # (F, T)
     weighted = past * inv[:, None, :]
     normal = weighted @ past.conj().swapaxes(1, 2)  # (F, NL, NL)
     rhs = weighted @ x.conj().swapaxes(1, 2)  # (F, NL, M)
-    sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter, sx.n_bins)
-    coeffs = sol.conj().swapaxes(1, 2)  # (F, M, NL)
-    state.coeffs = coeffs
-    return coeffs
+    sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
+    return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 
 
-def wpe_dereverb(state: WpeState, spec: Spectrogram, sx: StackedObservation) -> Spectrogram:
-    """Subtract the predicted late reverberation from the observation."""
+def wpe_dereverb(coeffs: np.ndarray, spec: Spectrogram, sx: StackedObservation) -> Spectrogram:
+    """Subtract the late reverberation ``coeffs`` predict from the observation."""
     x = spec.data.transpose(0, 2, 1)
-    z = x - state.coeffs @ sx.past
+    z = x - coeffs @ sx.past
     return Spectrogram(z.transpose(0, 2, 1), spec.config, spec.n_samples)
 
 
 def wpe_objective(dereverbed: np.ndarray, variances: np.ndarray) -> float:
     """sum over (f, t) of |z|^2 / (M r) + log r."""
     n_channels = dereverbed.shape[1]
-    power = np.sum(np.abs(dereverbed) ** 2, axis=1) / n_channels
-    return float(np.sum(power / variances + np.log(variances)))
+    return model_cost(np.sum(np.abs(dereverbed) ** 2, axis=1) / n_channels, variances)
 
 
 def wpe_run(
@@ -90,23 +76,17 @@ def wpe_run(
     if taps.taps == 0:
         raise ValueError("prediction needs at least one tap")
     sx = build_stacked(spec, taps)
-    x = np.ascontiguousarray(spec.data.transpose(0, 2, 1))
-    n_bins, n_channels, _ = x.shape
-    state = WpeState(
-        coeffs=np.zeros((n_bins, n_channels, sx.dim - n_channels), dtype=np.complex128),
-        variances=wpe_variance_update(x),
-        taps=taps,
-    )
-    z = x
+    z = np.ascontiguousarray(spec.data.transpose(0, 2, 1))
+    variances = wpe_variance_update(z)
     out = spec
     for i in range(iterations + 1):
         if i > 0:
-            wpe_filter_update(state, sx, spec, counter)
-            out = wpe_dereverb(state, spec, sx)
+            coeffs = wpe_filter_update(variances, sx, spec, counter)
+            out = wpe_dereverb(coeffs, spec, sx)
             z = out.data.transpose(0, 2, 1)
-            state.variances = wpe_variance_update(z)
+            variances = wpe_variance_update(z)
         if trace is not None:
-            trace.append(wpe_objective(z, state.variances))
+            trace.append(wpe_objective(z, variances))
         if callback is not None:
             callback(i, z)
     return out

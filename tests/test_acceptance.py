@@ -32,7 +32,6 @@ from drbss import (
     StftConfig,
     SyntheticRoomConfig,
     TapConfig,
-    WpeState,
     align_permutation,
     analyze,
     build_stacked,
@@ -120,12 +119,7 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
             0.5, 2.0, (1, n_bins, n_frames)
         )
 
-        state = WpeState(
-            coeffs=np.zeros((n_bins, 1, taps.taps), dtype=np.complex128),
-            variances=rvar[0],
-            taps=taps,
-        )
-        predicted = wpe_filter_update(state, sx, spec)
+        predicted = wpe_filter_update(rvar[0], sx, spec)
 
         dm = ExtendedDemixer.identity(n_bins, 1, taps)
         outputs = spec.data.transpose(0, 2, 1).copy()

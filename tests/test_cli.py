@@ -255,6 +255,16 @@ def test_bench_rejects_bad_matrix(tmp_path):
     path.write_text(json.dumps({"variants": ["ilrma-ip"], "metric": 1}))
     with pytest.raises(ConfigError, match="unknown matrix keys"):
         cmd_bench(path, tmp_path / "bench2")
+    # every run and room setting is checked once, before any cell runs
+    for bad in (
+        {"hop": 100}, {"taps": -1}, {"iterations": "3"}, {"rt60": -1},
+        {"tail_gain": -1}, {"duration": None}, {"sample_rate": 8000.5}, {"metric_every": "2"},
+    ):
+        path.write_text(json.dumps({"variants": ["ilrma-ip"], **bad}))
+        with pytest.raises(ConfigError):
+            cmd_bench(path, tmp_path / "bench2")
+        assert main(["bench", str(path), "--out", str(tmp_path / "bench3")]) == 2
+        assert not (tmp_path / "bench3" / "curves.csv").exists()
 
 
 def test_main_exit_codes(tmp_path):

@@ -7,7 +7,6 @@ from drbss import (
     Spectrogram,
     StftConfig,
     TapConfig,
-    WpeState,
     analyze,
     build_stacked,
     wpe_dereverb,
@@ -39,10 +38,7 @@ def test_white_input_gives_small_coefficients():
     spec = analyze(rng.standard_normal((1, 16000)), CFG)
     sx = build_stacked(spec, TapConfig(3, 2))
     x = spec.data.transpose(0, 2, 1)
-    state = WpeState(
-        np.zeros((spec.n_bins, 1, 3), dtype=complex), wpe_variance_update(x), TapConfig(3, 2)
-    )
-    coeffs = wpe_filter_update(state, sx, spec)
+    coeffs = wpe_filter_update(wpe_variance_update(x), sx, spec)
     assert np.abs(coeffs).max() <= 0.2
 
 
@@ -57,10 +53,7 @@ def test_recovers_frame_recursion_pole():
         data[:, t] = 0.8 * data[:, t - 1] + e[:, t]
     spec = Spectrogram(data[:, :, None], CFG)
     sx = build_stacked(spec, TapConfig(1, 1))
-    state = WpeState(
-        np.zeros((n_bins, 1, 1), dtype=complex), np.ones((n_bins, n_frames)), TapConfig(1, 1)
-    )
-    coeffs = wpe_filter_update(state, sx, spec)
+    coeffs = wpe_filter_update(np.ones((n_bins, n_frames)), sx, spec)
     assert np.abs(coeffs[:, 0, 0] - 0.8).max() <= 0.05
 
 
@@ -69,14 +62,12 @@ def test_dereverb_is_exact_subtraction():
     spec = analyze(rng.standard_normal((2, 4000)), CFG)
     sx = build_stacked(spec, TapConfig(2, 2))
     coeffs = rng.standard_normal((spec.n_bins, 2, 4)) + 1j * rng.standard_normal((spec.n_bins, 2, 4))
-    state = WpeState(coeffs, np.ones((spec.n_bins, spec.n_frames)), TapConfig(2, 2))
-    out = wpe_dereverb(state, spec, sx)
+    out = wpe_dereverb(coeffs, spec, sx)
     want = spec.data.transpose(0, 2, 1) - coeffs @ sx.past
     assert np.allclose(out.data, want.transpose(0, 2, 1), atol=1e-14)
     assert out.n_samples == spec.n_samples
 
-    state.coeffs = np.zeros_like(coeffs)
-    same = wpe_dereverb(state, spec, sx)
+    same = wpe_dereverb(np.zeros_like(coeffs), spec, sx)
     assert np.array_equal(same.data, spec.data)
 
 
