@@ -232,7 +232,7 @@ def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Pat
     for i in range(estimates.shape[0]):
         write_wav(out / "estimates" / f"src{i:02d}.wav", sample_rate, estimates[i])
     _write_trace(out / "trace.csv", result)
-    _write_report(out / "report.json", config, spec.data.shape, counter, result)
+    _write_report(out / "report.json", config, spec, counter, result)
     return out
 
 
@@ -249,24 +249,23 @@ def _write_trace(path: Path, result: RunResult) -> None:
 def _write_report(
     path: Path,
     config: RunConfig,
-    shape: tuple[int, int, int],
+    spec: Spectrogram,
     counter: SolveCounter,
     result: RunResult,
 ) -> None:
-    n_bins, n_frames, n_channels = shape
     trace = result.trace
     iters = trace.iterations
-    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(n_channels)
+    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(spec.n_channels)
     measured = (
-        (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * n_bins)
+        (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * spec.n_bins)
         if iters > 0
         else 0.0
     )
     report = {
         "config": config.to_dict(),
-        "n_bins": n_bins,
-        "n_frames": n_frames,
-        "n_channels": n_channels,
+        "n_bins": spec.n_bins,
+        "n_frames": spec.n_frames,
+        "n_channels": spec.n_channels,
         "final_cost": trace.costs[-1],
         "iteration_solves": counter.iteration_solves,
         "projection_solves": counter.projection_solves,
@@ -403,10 +402,9 @@ def _bench_cell(job: tuple[RunConfig, SyntheticRoomConfig, float, int, int]) -> 
         deltas: dict[int, float] = {}
 
         def checkpoint(iteration: int, outputs: np.ndarray, dm) -> None:
-            y = outputs.copy()
             if iteration > 0 and config.variant != AlgorithmVariant.WPE.value:
-                y, _ = projection_back(dm, y)
-            est = synthesize(Spectrogram(y.transpose(0, 2, 1), config.stft(fs), sources.shape[1]))
+                outputs, _ = projection_back(dm, outputs)
+            est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
             deltas[iteration] = mean_delta_si_sdr(refs, est, result.mixture)
 
         _, run_result = _separate(

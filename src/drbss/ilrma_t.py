@@ -296,13 +296,10 @@ def run(
     eff_taps = taps if traits.tapped else TapConfig(0, taps.delay)
 
     sx = build_stacked(work, eff_taps)
-    n_bins, n_frames, n_channels = work.data.shape
-    dm = ExtendedDemixer.identity(n_bins, n_channels, eff_taps)
-    model = init_model(n_channels, n_bases, n_bins, n_frames, seed)
+    dm = ExtendedDemixer.identity(work.n_bins, work.n_channels, eff_taps)
+    model = init_model(work.n_channels, n_bases, work.n_bins, work.n_frames, seed)
     variances = variance(model)
-    # transpose of a single-channel array is already contiguous, so force
-    # an owned copy: iteration steps update this buffer in place
-    outputs = work.data.transpose(0, 2, 1).copy()
+    outputs = work.data.copy()  # iteration steps update this buffer in place
 
     step = _ITERATIONS[variant]
     trace = CostTrace()
@@ -327,7 +324,7 @@ def run(
     scales = None
     if iterations > 0:
         outputs, scales = projection_back(dm, outputs, counter)
-    out_spec = Spectrogram(outputs.transpose(0, 2, 1), work.config, work.n_samples)
+    out_spec = Spectrogram(outputs, work.config, work.n_samples)
     return RunResult(out_spec, trace, dm, scales)
 
 

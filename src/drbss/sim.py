@@ -44,6 +44,9 @@ class SyntheticRoomConfig:
         for name in ("n_sources", "sample_rate", "seed", "max_direct_delay"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be int, got {getattr(self, name)!r}")
+        for name in ("rt60", "snr", "tail_gain"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 1 <= self.n_sources <= 4:
             raise ValueError("n_sources must be between 1 and 4")
         if self.sample_rate <= 0:

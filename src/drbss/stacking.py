@@ -65,17 +65,18 @@ class StackedObservation:
 
 def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
     """Stack a spectrogram with its delayed copies."""
-    n_bins, n_frames, n_channels = spec.data.shape
+    n_channels, n_frames = spec.n_channels, spec.n_frames
     if n_frames == 0:
         raise ValueError("spectrogram has no frames")
-    x = np.ascontiguousarray(spec.data.transpose(0, 2, 1))  # (F, M, T)
+    if taps.taps > 0 and taps.delay >= n_frames:
+        raise ValueError(f"delay {taps.delay} leaves no delayed frame in {n_frames} frames")
     dim = n_channels * (taps.taps + 1)
-    tilde = np.zeros((n_bins, dim, n_frames), dtype=np.complex128)
-    tilde[:, :n_channels, :] = x
+    tilde = np.zeros((spec.n_bins, dim, n_frames), dtype=np.complex128)
+    tilde[:, :n_channels, :] = spec.data
     for j in range(1, taps.taps + 1):
         shift = taps.delay + j - 1
         if shift < n_frames:
-            tilde[:, j * n_channels : (j + 1) * n_channels, shift:] = x[:, :, : n_frames - shift]
+            tilde[:, j * n_channels : (j + 1) * n_channels, shift:] = spec.data[:, :, : n_frames - shift]
     return StackedObservation(tilde, n_channels, spec.config, spec.n_samples)
 
 
@@ -119,11 +120,10 @@ class ExtendedDemixer:
 
 
 def demix(dm: ExtendedDemixer, sx: StackedObservation) -> Spectrogram:
-    """Apply the free rows of the filter: outputs (F, T, N)."""
+    """Apply the free rows of the filter: outputs (F, N, T)."""
     if dm.dim != sx.dim or dm.n_channels != sx.n_channels:
         raise ValueError("demixer and stacked observation shapes do not match")
-    y = dm.top @ sx.tilde
-    return Spectrogram(y.transpose(0, 2, 1), sx.config, sx.n_samples)
+    return Spectrogram(dm.top @ sx.tilde, sx.config, sx.n_samples)
 
 
 def split_filter(

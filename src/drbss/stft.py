@@ -41,7 +41,7 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT tensor of shape (n_bins, n_frames, n_channels).
+    """Complex STFT tensor of shape (n_bins, n_channels, n_frames).
 
     ``n_samples`` remembers the pre-padding signal length so synthesis
     can trim exactly.
@@ -54,7 +54,7 @@ class Spectrogram:
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 3:
-            raise ValueError("spectrogram data must have shape (n_bins, n_frames, n_channels)")
+            raise ValueError("spectrogram data must have shape (n_bins, n_channels, n_frames)")
         if self.data.shape[0] != self.config.n_bins:
             raise ValueError(
                 f"bin count {self.data.shape[0]} does not match frame_len {self.config.frame_len}"
@@ -65,11 +65,11 @@ class Spectrogram:
         return self.data.shape[0]
 
     @property
-    def n_frames(self) -> int:
+    def n_channels(self) -> int:
         return self.data.shape[1]
 
     @property
-    def n_channels(self) -> int:
+    def n_frames(self) -> int:
         return self.data.shape[2]
 
 
@@ -123,14 +123,14 @@ def analyze(signal: np.ndarray, config: StftConfig) -> Spectrogram:
     frames = sliding_window_view(padded, config.frame_len, axis=1)[:, :: config.hop, :]
     window, _ = _windows(config.frame_len, config.hop)
     data = np.fft.rfft(frames * window, axis=-1)  # (M, T, F)
-    return Spectrogram(np.ascontiguousarray(data.transpose(2, 1, 0)), config, n_samples)
+    return Spectrogram(np.ascontiguousarray(data.transpose(2, 0, 1)), config, n_samples)
 
 
 def synthesize(spec: Spectrogram) -> np.ndarray:
     """Inverse transform back to a (n_channels, n_samples) signal."""
     config = spec.config
     _, dual = _windows(config.frame_len, config.hop)
-    frames = np.fft.irfft(spec.data.transpose(2, 1, 0), n=config.frame_len, axis=-1)
+    frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=config.frame_len, axis=-1)
     frames *= dual
     n_frames = spec.n_frames
     total = (n_frames - 1) * config.hop + config.frame_len

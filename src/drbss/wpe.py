@@ -33,21 +33,18 @@ def wpe_filter_update(
     """
     if sx.n_frames == 0:
         raise ValueError("cannot fit a prediction filter on zero frames")
-    x = spec.data.transpose(0, 2, 1)  # (F, M, T)
     past = sx.past
     inv = 1.0 / variances  # (F, T)
     weighted = past * inv[:, None, :]
     normal = weighted @ past.conj().swapaxes(1, 2)  # (F, NL, NL)
-    rhs = weighted @ x.conj().swapaxes(1, 2)  # (F, NL, M)
+    rhs = weighted @ spec.data.conj().swapaxes(1, 2)  # (F, NL, M)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 
 
 def wpe_dereverb(coeffs: np.ndarray, spec: Spectrogram, sx: StackedObservation) -> Spectrogram:
     """Subtract the late reverberation ``coeffs`` predict from the observation."""
-    x = spec.data.transpose(0, 2, 1)
-    z = x - coeffs @ sx.past
-    return Spectrogram(z.transpose(0, 2, 1), spec.config, spec.n_samples)
+    return Spectrogram(spec.data - coeffs @ sx.past, spec.config, spec.n_samples)
 
 
 def wpe_objective(dereverbed: np.ndarray, variances: np.ndarray) -> float:
@@ -76,14 +73,14 @@ def wpe_run(
     if taps.taps == 0:
         raise ValueError("prediction needs at least one tap")
     sx = build_stacked(spec, taps)
-    z = np.ascontiguousarray(spec.data.transpose(0, 2, 1))
+    z = spec.data
     variances = wpe_variance_update(z)
     out = spec
     for i in range(iterations + 1):
         if i > 0:
             coeffs = wpe_filter_update(variances, sx, spec, counter)
             out = wpe_dereverb(coeffs, spec, sx)
-            z = out.data.transpose(0, 2, 1)
+            z = out.data
             variances = wpe_variance_update(z)
         if trace is not None:
             trace.append(wpe_objective(z, variances))

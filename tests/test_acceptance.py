@@ -114,7 +114,7 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
         res = desk_mixture(seed, n_sources=1, n_samples=6000, rt60=0.2)
         spec = analyze(res.mixture, StftConfig(256, 128, FS))
         sx = build_stacked(spec, taps)
-        n_bins, n_frames, _ = spec.data.shape
+        n_bins, _, n_frames = spec.data.shape
         rvar = np.random.default_rng(seed + 77).uniform(
             0.5, 2.0, (1, n_bins, n_frames)
         )
@@ -122,7 +122,7 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
         predicted = wpe_filter_update(rvar[0], sx, spec)
 
         dm = ExtendedDemixer.identity(n_bins, 1, taps)
-        outputs = spec.data.transpose(0, 2, 1).copy()
+        outputs = spec.data.copy()
         _joint_tap_update(dm, sx, rvar, outputs)
         _, implied = split_filter(dm)
 
@@ -254,14 +254,14 @@ def test_criterion_09_stationarity_at_convergence():
     spec = analyze(res.mixture, StftConfig(128, 64, FS))
     taps = TapConfig(2, 2)
     sx = build_stacked(spec, taps)
-    n_bins, n_frames, n_src = spec.data.shape
+    n_bins, n_src, n_frames = spec.data.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, taps)
     model = init_model(n_src, 2, n_bins, n_frames, seed=0)
     # raise the variance floor so the model cannot chase near-silent
     # cells into a region where finite differences lose precision
     model.floor = 1e-2
     variances = variance(model)
-    outputs = spec.data.transpose(0, 2, 1).copy()
+    outputs = spec.data.copy()
     for _ in range(150):
         outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
         variances = nmf_update(model, _power(outputs))

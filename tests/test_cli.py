@@ -70,6 +70,9 @@ def test_room_config_from_dict():
         room_config_from_dict({"n_sources": 2, "rooms": 3})
     with pytest.raises(ConfigError):
         room_config_from_dict({"n_sources": 2, "duration": -1.0})
+    for key, bad in (("rt60", "x"), ("snr", True), ("tail_gain", None)):
+        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            room_config_from_dict({"n_sources": 2, key: bad})
 
 
 def test_wav_round_trip(tmp_path):
@@ -245,6 +248,10 @@ def test_bench_grid_with_failed_cell(tmp_path):
     failed = {(r["variant"], r["n_sources"]): r["failed"] for r in summary}
     assert failed[("ilrma-iss", "5")] == "1"
     assert failed[("ilrma-iss", "2")] == "0"
+    # the process pool writes the same files as the serial loop
+    pooled = cmd_bench(path, tmp_path / "bench_pool", workers=2)
+    for name in ("curves.csv", "summary.csv"):
+        assert (pooled / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_bench_rejects_bad_matrix(tmp_path):
@@ -259,6 +266,7 @@ def test_bench_rejects_bad_matrix(tmp_path):
     for bad in (
         {"hop": 100}, {"taps": -1}, {"iterations": "3"}, {"rt60": -1},
         {"tail_gain": -1}, {"duration": None}, {"sample_rate": 8000.5}, {"metric_every": "2"},
+        {"rt60": "x"}, {"snr": True}, {"tail_gain": None},
     ):
         path.write_text(json.dumps({"variants": ["ilrma-ip"], **bad}))
         with pytest.raises(ConfigError):
@@ -296,6 +304,13 @@ def test_main_exit_codes(tmp_path):
     code = main(
         ["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "m4"),
          "--variant", "wpe", "--taps", "0", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
+    )
+    assert code == 2
+
+    # a delay past the last frame leaves the taps nothing to predict from
+    code = main(
+        ["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "m5"),
+         "--variant", "ilrma-t-iss-seq", "--delay", "100", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
     )
     assert code == 2
 

@@ -140,16 +140,18 @@ def test_run_zero_iterations_is_identity():
 def test_run_does_not_mutate_the_input_spectrogram():
     spec = small_spec(2)
     before = spec.data.copy()
-    run(AlgorithmVariant.ILRMA_T_ISS_JOINT, spec, iterations=3, taps=SMALL_TAPS, seed=2)
-    assert np.array_equal(spec.data, before)
+    for variant in AlgorithmVariant:
+        run(variant, spec, iterations=3, taps=SMALL_TAPS, seed=2)
+        assert np.array_equal(spec.data, before), variant
 
 
 def test_run_single_channel_does_not_mutate_input():
-    # single-channel data is the aliasing-prone layout for transposes
+    # with one channel, a reshaped view of the input is easily mistaken for a copy
     spec = small_spec(3, n_sources=1)
     before = spec.data.copy()
-    run(AlgorithmVariant.ILRMA_T_ISS_JOINT, spec, iterations=2, taps=SMALL_TAPS, seed=3)
-    assert np.array_equal(spec.data, before)
+    for variant in AlgorithmVariant:
+        run(variant, spec, iterations=2, taps=SMALL_TAPS, seed=3)
+        assert np.array_equal(spec.data, before), variant
 
 
 def test_run_deterministic():
@@ -242,7 +244,7 @@ def test_maintained_outputs_match_fresh_demix():
     dm = ExtendedDemixer.identity(spec.n_bins, n, SMALL_TAPS)
     model = init_model(n, 2, spec.n_bins, spec.n_frames, seed=10)
     variances = variance(model)
-    outputs = spec.data.transpose(0, 2, 1).copy()
+    outputs = spec.data.copy()
     for _ in range(5):
         outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
         variances = nmf_update(model, np.abs(outputs.transpose(1, 0, 2)) ** 2)

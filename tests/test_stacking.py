@@ -20,8 +20,8 @@ CFG = StftConfig(256, 128, 8000)
 
 def random_spec(seed, n_frames=12, n_channels=2):
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((CFG.n_bins, n_frames, n_channels)) + 1j * rng.standard_normal(
-        (CFG.n_bins, n_frames, n_channels)
+    data = rng.standard_normal((CFG.n_bins, n_channels, n_frames)) + 1j * rng.standard_normal(
+        (CFG.n_bins, n_channels, n_frames)
     )
     return Spectrogram(data, CFG)
 
@@ -39,12 +39,12 @@ def test_zero_taps_is_just_the_input():
     sx = build_stacked(spec, TapConfig(0, 2))
     assert sx.dim == spec.n_channels
     assert sx.past.shape == (CFG.n_bins, 0, spec.n_frames)
-    assert np.array_equal(sx.tilde, spec.data.transpose(0, 2, 1))
+    assert np.array_equal(sx.tilde, spec.data)
 
 
 def test_delay_blocks_and_zero_fill():
     spec = random_spec(1, n_frames=8, n_channels=2)
-    x = spec.data.transpose(0, 2, 1)
+    x = spec.data
     sx = build_stacked(spec, TapConfig(2, 2))
     assert sx.dim == 6
     # frame 4 sees lags 2 and 3; frame 1 sees neither
@@ -62,9 +62,12 @@ def test_past_is_a_view():
 
 
 def test_build_stacked_rejects_empty():
-    spec = Spectrogram(np.zeros((CFG.n_bins, 0, 2), dtype=complex), CFG)
+    spec = Spectrogram(np.zeros((CFG.n_bins, 2, 0), dtype=complex), CFG)
     with pytest.raises(ValueError):
         build_stacked(spec, TapConfig(1, 1))
+    # a delay past the last frame would leave every delayed row zero
+    with pytest.raises(ValueError, match="delay 12"):
+        build_stacked(random_spec(0, n_frames=12), TapConfig(2, 12))
 
 
 def test_identity_demixer_structure():
@@ -104,7 +107,7 @@ def test_demix_matches_naive_loop():
     for f in (0, 7, spec.n_bins - 1):
         for t in range(6):
             want = dm.matrix[f, :2, :] @ sx.tilde[f, :, t]
-            assert np.allclose(out[f, t], want, atol=1e-14)
+            assert np.allclose(out[f, :, t], want, atol=1e-14)
 
 
 def test_demix_shape_mismatch():

@@ -45,7 +45,7 @@ def test_frame_count_oracle():
     assert pad_amounts(32000, cfg) == (768, 768)
     rng = np.random.default_rng(0)
     spec = analyze(rng.standard_normal((3, 32000)), cfg)
-    assert spec.data.shape == (513, 128, 3)
+    assert spec.data.shape == (513, 3, 128)
     assert spec.n_samples == 32000
 
 
@@ -106,10 +106,10 @@ def test_analyze_error_contracts():
 def test_spectrogram_validation():
     cfg = StftConfig(256, 128)
     with pytest.raises(ValueError):
-        Spectrogram(np.zeros((100, 4, 1), dtype=complex), cfg)  # 100 != n_bins
+        Spectrogram(np.zeros((100, 1, 4), dtype=complex), cfg)  # 100 != n_bins
     with pytest.raises(ValueError):
         Spectrogram(np.zeros((129, 4), dtype=complex), cfg)  # not 3-D
-    spec = Spectrogram(np.zeros((129, 4, 2), dtype=complex), cfg)
+    spec = Spectrogram(np.zeros((129, 2, 4), dtype=complex), cfg)
     assert spec.data.dtype == np.complex128
     assert (spec.n_bins, spec.n_frames, spec.n_channels) == (129, 4, 2)
 
@@ -136,7 +136,7 @@ def test_bin_centered_leakage():
     left, _ = pad_amounts(16000, cfg)
     for t in range(5, 15):  # frames well inside the signal
         assert t * cfg.hop >= left
-        frame = spec.data[:, t, 0]
+        frame = spec.data[:, 0, t]
         assert abs(abs(frame[k]) - n / 4) <= 1e-9
         assert abs(abs(frame[k - 1]) - n / 8) <= 1e-9
         assert abs(abs(frame[k + 1]) - n / 8) <= 1e-9
@@ -157,5 +157,5 @@ def test_parseval_per_frame():
     weights[0] = weights[-1] = 1.0
     for t in range(spec.n_frames):
         frame = padded[t * cfg.hop : t * cfg.hop + cfg.frame_len] * window
-        spectral = np.sum(weights * np.abs(spec.data[:, t, 0]) ** 2) / cfg.frame_len
+        spectral = np.sum(weights * np.abs(spec.data[:, 0, t]) ** 2) / cfg.frame_len
         assert abs(spectral - np.sum(frame**2)) <= 1e-9 * max(1.0, np.sum(frame**2))
