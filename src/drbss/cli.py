@@ -134,13 +134,16 @@ def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
     data = dict(data)
     try:
         duration = float(data.pop("duration", 4.0))
-        if duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0 < duration < np.inf:
+            raise ConfigError(f"duration must be positive and finite, got {duration!r}")
         for key in ("direct_delays", "direct_gains"):
             if data.get(key) is not None:
                 data[key] = tuple(tuple(row) for row in data[key])
-        if "snr" in data and isinstance(data["snr"], str):
-            data["snr"] = float(data["snr"])
+        if isinstance(data.get("snr"), str):
+            try:
+                data["snr"] = float(data["snr"])
+            except ValueError:
+                raise ConfigError(f"snr must be a number or 'inf', got {data['snr']!r}") from None
         return SyntheticRoomConfig(**data), duration
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None

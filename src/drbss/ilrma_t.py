@@ -28,7 +28,7 @@ from .linalg import (
     checked_solve,
 )
 from .nmf import init_model, model_cost, nmf_update, variance
-from .separation import ip_update_row, iss_source_sweep, weighted_cov
+from .separation import ip_update_row, iss_source_sweep, weighted_cov, weighted_gram
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
 from .wpe import wpe_run
@@ -164,15 +164,9 @@ def _joint_tap_update(
         return
     n = dm.n_channels
     inv = 1.0 / variances.transpose(1, 0, 2)
-    weighted = past[:, None, :, :] * inv[:, :, None, :]  # (F, N, NL, T)
-    normal = weighted @ past.conj().swapaxes(1, 2)[:, None, :, :]  # (F, N, NL, NL)
-    corr = np.einsum("fmt,fjt->fmj", outputs * inv, past.conj())  # (F, N, NL)
-    sol = checked_solve(
-        add_loading(normal),
-        corr.conj()[..., None],
-        "tap normal matrix",
-        counter,
-    )
+    normal = np.stack([weighted_gram(past, inv[:, m]) for m in range(n)], axis=1)  # (F, N, NL, NL)
+    rhs = np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past)  # (F, N, NL)
+    sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
     dm.matrix[:, :n, n:] -= gains
     outputs -= gains @ past

@@ -13,6 +13,19 @@ import numpy as np
 from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, checked_solve
 
 
+def weighted_gram(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Weighted Gram matrices sum_t inv v v^H, shape (F, D, D).
+
+    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) weight track. The
+    only (F, D, T) temporary is the weighted conjugate; since
+    conj(x) conj(y) == conj(x y) exactly, the result is bit-identical to
+    ``(vectors * inv) @ vectors.conj().swapaxes(1, 2)``.
+    """
+    weighted = vectors.conj()
+    weighted *= inv[:, None, :]
+    return np.conj(weighted @ vectors.swapaxes(1, 2))
+
+
 def weighted_cov(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Frame-averaged covariance sum_t v v^H / w, shape (F, D, D).
 
@@ -21,8 +34,7 @@ def weighted_cov(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     if vectors.shape[2] == 0:
         raise ValueError("cannot average a covariance over zero frames")
-    inv = 1.0 / weights
-    return (vectors * inv[:, None, :]) @ vectors.conj().swapaxes(1, 2) / vectors.shape[2]
+    return weighted_gram(vectors, 1.0 / weights) / vectors.shape[2]
 
 
 def ip_update_row(

@@ -51,14 +51,14 @@ class SyntheticRoomConfig:
             raise ValueError("n_sources must be between 1 and 4")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.rt60 < 0:
-            raise ValueError("rt60 must be non-negative")
+        if not 0 <= self.rt60 < np.inf:
+            raise ValueError(f"rt60 must be finite and non-negative, got {self.rt60!r}")
         if not self.snr > 0:
             raise ValueError("snr must be positive (may be inf)")
         if self.max_direct_delay < 0:
             raise ValueError("max_direct_delay must be non-negative")
-        if self.tail_gain < 0:
-            raise ValueError("tail_gain must be non-negative")
+        if not 0 <= self.tail_gain < np.inf:
+            raise ValueError(f"tail_gain must be finite and non-negative, got {self.tail_gain!r}")
 
     @property
     def n_mics(self) -> int:

@@ -35,9 +35,10 @@ def wpe_filter_update(
         raise ValueError("cannot fit a prediction filter on zero frames")
     past = sx.past
     inv = 1.0 / variances  # (F, T)
-    weighted = past * inv[:, None, :]
-    normal = weighted @ past.conj().swapaxes(1, 2)  # (F, NL, NL)
-    rhs = weighted @ spec.data.conj().swapaxes(1, 2)  # (F, NL, M)
+    weighted = past.conj()  # shared by both products; conj(x) conj(y) == conj(x y) exactly
+    weighted *= inv[:, None, :]
+    normal = np.conj(weighted @ past.swapaxes(1, 2))  # (F, NL, NL)
+    rhs = np.conj(weighted @ spec.data.swapaxes(1, 2))  # (F, NL, M)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 

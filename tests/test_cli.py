@@ -73,6 +73,18 @@ def test_room_config_from_dict():
     for key, bad in (("rt60", "x"), ("snr", True), ("tail_gain", None)):
         with pytest.raises(ConfigError, match=f"{key} must be a number"):
             room_config_from_dict({"n_sources": 2, key: bad})
+    # non-finite room values name their field; snr alone may be infinite
+    for key in ("rt60", "tail_gain", "duration"):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
+                room_config_from_dict({"n_sources": 2, key: bad})
+    assert np.isinf(room_config_from_dict({"n_sources": 2, "snr": np.inf})[0].snr)
+
+
+def test_room_config_names_a_bad_snr_string():
+    with pytest.raises(ConfigError, match="snr") as info:
+        room_config_from_dict({"n_sources": 2, "snr": "x"})
+    assert "could not convert" not in str(info.value)
 
 
 def test_wav_round_trip(tmp_path):
@@ -267,6 +279,8 @@ def test_bench_rejects_bad_matrix(tmp_path):
         {"hop": 100}, {"taps": -1}, {"iterations": "3"}, {"rt60": -1},
         {"tail_gain": -1}, {"duration": None}, {"sample_rate": 8000.5}, {"metric_every": "2"},
         {"rt60": "x"}, {"snr": True}, {"tail_gain": None},
+        {"rt60": float("inf")}, {"rt60": float("nan")}, {"tail_gain": float("inf")},
+        {"duration": float("inf")}, {"duration": float("nan")}, {"snr": "x"},
     ):
         path.write_text(json.dumps({"variants": ["ilrma-ip"], **bad}))
         with pytest.raises(ConfigError):
@@ -313,6 +327,13 @@ def test_main_exit_codes(tmp_path):
          "--variant", "ilrma-t-iss-seq", "--delay", "100", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
     )
     assert code == 2
+
+    # non-finite room values exit 2 before anything is written
+    for flag in ("--rt60", "--duration", "--tail-gain"):
+        for bad in ("inf", "nan"):
+            out = tmp_path / f"sim{flag}{bad}"
+            assert main(["simulate", "--out", str(out), flag, bad]) == 2
+            assert not out.exists()
 
     # missing input file
     code = main(

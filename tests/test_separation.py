@@ -1,11 +1,13 @@
 """Row updates: iterative projection and solve-free source steering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from drbss import NumericalError
-from drbss.ilrma_t import cost
-from drbss.linalg import add_loading
+from drbss.ilrma_t import _joint_tap_update, cost
+from drbss.linalg import add_loading, checked_solve
 from drbss.separation import (
     ip_update_row,
     iss_coefficients,
@@ -13,7 +15,9 @@ from drbss.separation import (
     iss_update_source,
     weighted_cov,
 )
-from drbss.stacking import ExtendedDemixer, TapConfig
+from drbss.stacking import ExtendedDemixer, TapConfig, build_stacked, demix
+from drbss.stft import Spectrogram, StftConfig
+from drbss.wpe import wpe_filter_update
 
 
 def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
@@ -180,3 +184,67 @@ def test_iss_zero_pivot_stays_finite():
     iss_update_source(matrix, outputs, variances, 1)
     assert np.all(np.isfinite(matrix))
     assert np.all(np.isfinite(outputs))
+
+
+def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):
+    """The benchmark's engine shape: F=129, T=316, N=3, TapConfig(5, 2)."""
+    rng = np.random.default_rng(seed)
+    shape = (n_bins, n_src, n_frames)
+    spec = Spectrogram(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), StftConfig(256, 64, 8000)
+    )
+    sx = build_stacked(spec, TapConfig(5, 2))
+    dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(5, 2))
+    dm.matrix[:, :n_src, :] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
+    variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames))
+    return spec, sx, dm, variances, demix(dm, sx).data
+
+
+def peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normal_equation_builders_hold_one_operand_sized_temporary():
+    """Peak allocation stays within 1.5x the (F, D, T) operand."""
+    spec, sx, dm, variances, outputs = normal_equation_instance()
+    past_bytes = sx.past.nbytes
+    joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, variances, outputs))
+    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, variances[0]))
+    wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[0], sx, spec))
+    assert joint <= 1.5 * past_bytes
+    assert cov <= 1.5 * sx.tilde.nbytes
+    assert wpe <= 1.5 * past_bytes
+
+
+def test_normal_equation_builders_are_bit_identical_to_direct_products():
+    """Oracles: the weighted operand times the conjugated one, as written."""
+    spec, sx, dm, variances, outputs = normal_equation_instance(seed=1)
+    for vectors in (sx.tilde, sx.past):  # contiguous and strided
+        inv = 1.0 / variances[0]
+        want = (vectors * inv[:, None, :]) @ vectors.conj().swapaxes(1, 2) / vectors.shape[2]
+        assert np.array_equal(weighted_cov(vectors, variances[0]), want)
+
+    past, n = sx.past, dm.n_channels
+    inv = 1.0 / variances.transpose(1, 0, 2)
+    weighted = past[:, None, :, :] * inv[:, :, None, :]  # (F, N, NL, T)
+    normal = weighted @ past.conj().swapaxes(1, 2)[:, None, :, :]
+    corr = np.einsum("fmt,fjt->fmj", outputs * inv, past.conj())
+    gains = checked_solve(add_loading(normal), corr.conj()[..., None], "oracle")[..., 0].conj()
+    want_matrix = dm.matrix.copy()
+    want_matrix[:, :n, n:] -= gains
+    want_outputs = outputs - gains @ past
+    _joint_tap_update(dm, sx, variances, outputs)
+    assert np.array_equal(dm.matrix, want_matrix)
+    assert np.array_equal(outputs, want_outputs)
+
+    inv = 1.0 / variances[0]
+    weighted = past * inv[:, None, :]
+    normal = weighted @ past.conj().swapaxes(1, 2)
+    rhs = weighted @ spec.data.conj().swapaxes(1, 2)
+    want = checked_solve(add_loading(normal), rhs, "oracle").conj().swapaxes(1, 2)
+    assert np.array_equal(wpe_filter_update(variances[0], sx, spec), want)
