@@ -11,7 +11,6 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -122,6 +121,20 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     return int(rate), arr
 
 
+def _read_mono_wavs(paths: list[str | Path]) -> tuple[int, list[np.ndarray]]:
+    """Read mono WAVs that share one sample rate: (rate, [signal, ...])."""
+    rate, signals = None, []
+    for p in paths:
+        file_rate, sig = read_wav(p)
+        if sig.shape[0] != 1:
+            raise ConfigError(f"{p}: expected a mono WAV")
+        if rate is not None and file_rate != rate:
+            raise ConfigError(f"{p}: mixed sample rates ({file_rate} vs {rate} Hz); resampling is out of scope")
+        rate = file_rate
+        signals.append(sig[0])
+    return rate, signals
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -159,17 +172,8 @@ def cmd_simulate(
     if wav_paths:
         if len(wav_paths) != cfg.n_sources:
             raise ConfigError(f"expected {cfg.n_sources} source WAVs, got {len(wav_paths)}")
-        rates, signals = [], []
-        for p in wav_paths:
-            rate, sig = read_wav(p)
-            if sig.shape[0] != 1:
-                raise ConfigError(f"{p}: source WAVs must be mono")
-            rates.append(rate)
-            signals.append(sig[0])
-        if len(set(rates)) != 1:
-            raise ConfigError("source WAVs have mixed sample rates; resampling is out of scope")
-        if rates[0] != cfg.sample_rate:
-            cfg = replace(cfg, sample_rate=rates[0])
+        rate, signals = _read_mono_wavs(wav_paths)
+        cfg = replace(cfg, sample_rate=rate)
         n_samples = min(s.size for s in signals)
         sources = np.stack([s[:n_samples] for s in signals])
     else:
@@ -288,19 +292,10 @@ def _load_source_dir(directory: Path) -> tuple[int, np.ndarray]:
     paths = sorted(directory.glob("*.wav"))
     if not paths:
         raise ConfigError(f"no WAV files in {directory}")
-    rates, rows = [], []
-    for p in paths:
-        rate, sig = read_wav(p)
-        if sig.shape[0] != 1:
-            raise ConfigError(f"{p}: expected mono WAV")
-        rates.append(rate)
-        rows.append(sig[0])
-    if len(set(rates)) != 1:
-        raise ConfigError(f"{directory}: mixed sample rates")
-    lengths = {r.size for r in rows}
-    if len(lengths) != 1:
+    rate, rows = _read_mono_wavs(paths)
+    if len({r.size for r in rows}) != 1:
         raise ConfigError(f"{directory}: mixed signal lengths")
-    return rates[0], np.stack(rows)
+    return rate, np.stack(rows)
 
 
 def cmd_eval(
@@ -380,8 +375,9 @@ def _load_matrix(path: str | Path) -> dict:
     if unknown:
         raise ConfigError(f"unknown matrix keys: {', '.join(unknown)}")
     matrix = _MATRIX_DEFAULTS | data
-    if not matrix["variants"]:
-        raise ConfigError("matrix must list at least one variant")
+    for key in ("variants", "n_sources", "seeds"):
+        if type(matrix[key]) is not list or not matrix[key]:
+            raise ConfigError(f"{key} must be a non-empty list, got {matrix[key]!r}")
     if type(matrix["metric_every"]) is not int or matrix["metric_every"] < 1:
         raise ConfigError("metric_every must be a positive integer")
     run_keys = {k: v for k, v in matrix.items() if k in _RUN_KEYS}
@@ -392,8 +388,8 @@ def _load_matrix(path: str | Path) -> dict:
     return matrix
 
 
-def _bench_cell(job: tuple[RunConfig, SyntheticRoomConfig, float, int, int]) -> list[dict]:
-    config, room, duration, metric_every, n_sources = job
+def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
+    room, duration, metric_every = matrix["room"], matrix["duration"], matrix["metric_every"]
     base = {"variant": config.variant, "n_sources": n_sources, "seed": config.seed}
     try:
         room = replace(room, n_sources=n_sources, seed=config.seed)
@@ -431,20 +427,16 @@ def _bench_cell(job: tuple[RunConfig, SyntheticRoomConfig, float, int, int]) -> 
         return [base | {"iteration": "", "cost": "", "delta_si_sdr": "", "status": f"error:{type(exc).__name__}: {exc}"}]
 
 
-def cmd_bench(matrix_path: str | Path, out_dir: str | Path, workers: int = 1) -> Path:
-    """Run a variant/sources/seed grid; write curves.csv and summary.csv."""
+def cmd_bench(matrix_path: str | Path, out_dir: str | Path) -> Path:
+    """Run a variant/sources/seed grid cell by cell; write curves.csv and summary.csv."""
     matrix = _load_matrix(matrix_path)
-    jobs = [
-        (replace(config, seed=seed), matrix["room"], matrix["duration"], matrix["metric_every"], n)
+    cells = [  # every cell's config is checked before the first one runs
+        (replace(config, seed=seed), n)
         for config in matrix["configs"]
         for n in matrix["n_sources"]
         for seed in matrix["seeds"]
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cell_rows = list(pool.map(_bench_cell, jobs))
-    else:
-        cell_rows = [_bench_cell(job) for job in jobs]
+    cell_rows = [_bench_cell(config, n, matrix) for config, n in cells]
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -535,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run a variants x sources x seeds grid")
     be.add_argument("matrix", help="JSON benchmark matrix")
     be.add_argument("--out", required=True, help="output directory")
-    be.add_argument("--workers", type=int, default=1, help="parallel cells (default: 1)")
 
     return parser
 
@@ -568,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             cmd_eval(args.refs, args.estimates, args.mode, args.out, args.mixture)
         elif args.command == "bench":
-            cmd_bench(args.matrix, args.out, args.workers)
+            cmd_bench(args.matrix, args.out)
     except NumericalError as exc:
         print(f"drbss: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -20,18 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    DENOMINATOR_GUARD,
-    NumericalError,
-    SolveCounter,
-    add_loading,
-    checked_solve,
-)
+from .linalg import NumericalError, SolveCounter, add_loading, checked_solve
 from .nmf import init_model, model_cost, nmf_update, variance
-from .separation import ip_update_row, iss_source_sweep, weighted_cov, weighted_gram
+from .separation import ip_update_row, iss_source_sweep, steering_gains, weighted_cov, weighted_gram
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
-from .wpe import wpe_run
+from .wpe import wpe_objective, wpe_run
 
 
 class AlgorithmVariant(enum.Enum):
@@ -127,9 +121,9 @@ def _steering_sweep_over_taps(
 ) -> None:
     """Scalar steering updates against each pinned tap row, ascending.
 
-    The tap signals are constant; the gains are re-derived from the
-    live outputs after every column so each scalar step is an exact
-    coordinate minimization. Touches only column ``k`` of the free
+    The tap signals are constant; the source sweep's gains are
+    re-derived from the live outputs after every column, so each scalar
+    step is an exact coordinate minimization. Touches only column ``k`` of the free
     rows, so the determinant never moves.
     """
     n = dm.n_channels
@@ -138,9 +132,7 @@ def _steering_sweep_over_taps(
     inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     for k in range(n, sx.dim):
         tap = sx.tilde[:, k, :]
-        num = np.einsum("fmt,ft->fm", outputs * inv, tap.conj())
-        den = np.einsum("fmt,ft->fm", inv, np.abs(tap) ** 2)
-        gains = num / np.maximum(den, DENOMINATOR_GUARD)
+        gains, _ = steering_gains(outputs, inv, tap)
         dm.matrix[:, :n, k] -= gains
         outputs -= gains[:, :, None] * tap[:, None, :]
 
@@ -335,8 +327,9 @@ def _run_wpe(
     trace = CostTrace()
     t0 = time.perf_counter()
 
-    def record(i: int, dereverbed: np.ndarray) -> None:
+    def record(i: int, dereverbed: np.ndarray, variances: np.ndarray) -> None:
         nonlocal t0
+        trace.costs.append(wpe_objective(dereverbed, variances))
         if i > 0:
             trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
             if not np.isfinite(trace.costs[-1]):
@@ -346,5 +339,5 @@ def _run_wpe(
             callback(i, dereverbed, dm)
         t0 = time.perf_counter()
 
-    out = wpe_run(spec, taps, iterations, counter, trace.costs, record)
+    out = wpe_run(spec, taps, iterations, counter, record)
     return RunResult(out, trace, dm, None)

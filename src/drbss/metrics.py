@@ -16,6 +16,8 @@ from .stft import hann_window
 
 DB_CAP = 80.0
 _LOG_FLOOR = 1e-12
+_CEPSTRAL_COEFFS = 24
+_ACTIVE_FLOOR_DB = -40.0
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -74,45 +76,39 @@ def si_sir(references: np.ndarray, estimate: np.ndarray, target_index: int) -> f
     return _ratio_db(float(np.dot(target, target)), float(np.dot(interference, interference)))
 
 
-def _real_cepstra(x: np.ndarray, frame_len: int, hop: int, n_coeffs: int) -> np.ndarray:
-    """Real cepstra of overlapping Hann-windowed frames, coefficients 1..n."""
+def _real_cepstra(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Real cepstra of overlapping Hann-windowed frames, coefficients 1..24."""
     n_frames = (x.size - frame_len) // hop + 1
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = x[idx] * hann_window(frame_len)
     mag = np.abs(np.fft.rfft(frames, axis=1))
     log_mag = np.log(np.maximum(mag, _LOG_FLOOR))
     ceps = np.fft.irfft(log_mag, n=frame_len, axis=1)
-    return ceps[:, 1 : n_coeffs + 1]
+    return ceps[:, 1 : _CEPSTRAL_COEFFS + 1]
 
 
-def cepstral_distance(
-    reference: np.ndarray,
-    estimate: np.ndarray,
-    sample_rate: int,
-    n_coeffs: int = 24,
-    energy_floor_db: float = -40.0,
-) -> float:
+def cepstral_distance(reference: np.ndarray, estimate: np.ndarray, sample_rate: int) -> float:
     """Mean cepstral distance in dB over active reference frames.
 
     Frames are 32 ms with half overlap; a frame counts as active when
-    its reference energy is within ``energy_floor_db`` of the loudest
-    frame. The zeroth cepstral coefficient is excluded, so the measure
-    ignores overall gain.
+    its reference energy is within 40 dB of the loudest frame. The
+    zeroth cepstral coefficient is excluded, so the measure ignores
+    overall gain.
     """
     ref, est = _as_signal_pair(reference, estimate)
     frame_len = int(round(0.032 * sample_rate))
     hop = frame_len // 2
     if ref.size < frame_len:
         raise ValueError("signals are shorter than one analysis frame")
-    c_ref = _real_cepstra(ref, frame_len, hop, n_coeffs)
-    c_est = _real_cepstra(est, frame_len, hop, n_coeffs)
+    c_ref = _real_cepstra(ref, frame_len, hop)
+    c_est = _real_cepstra(est, frame_len, hop)
     n_frames = c_ref.shape[0]
     idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
     energies = np.sum(ref[idx] ** 2, axis=1)
     peak = float(energies.max())
     if peak == 0.0:
         raise ValueError("reference signal is all zero")
-    active = energies >= peak * 10.0 ** (energy_floor_db / 10.0)
+    active = energies >= peak * 10.0 ** (_ACTIVE_FLOOR_DB / 10.0)
     diff = c_ref[active] - c_est[active]
     per_frame = (10.0 / np.log(10.0)) * np.sqrt(2.0 * np.sum(diff**2, axis=1))
     return float(np.clip(np.mean(per_frame), 0.0, DB_CAP))

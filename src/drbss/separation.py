@@ -67,6 +67,22 @@ def ip_update_row(
     matrix[:, row, :] = u.conj() / np.sqrt(scale)[:, None]
 
 
+def steering_gains(
+    outputs: np.ndarray, inv: np.ndarray, pivot: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-1 steering gains of every output against ``pivot``, shape (F, N).
+
+    ``outputs`` is (F, N, T), ``inv`` the (F, N, T) inverse variances and
+    ``pivot`` an (F, T) signal. Each gain is sum_t y conj(p) / r divided
+    by the guarded weighted pivot power sum_t |p|^2 / r, which is also
+    returned: the exact coordinate minimizer along the pivot direction.
+    """
+    num = np.einsum("fmt,ft->fm", outputs * inv, pivot.conj())
+    den = np.einsum("fmt,ft->fm", inv, np.abs(pivot) ** 2)
+    den = np.maximum(den, DENOMINATOR_GUARD)
+    return num / den, den
+
+
 def iss_coefficients(outputs: np.ndarray, variances: np.ndarray, n: int) -> np.ndarray:
     """Source-steering gains for pivot source ``n``, shape (F, N).
 
@@ -76,11 +92,7 @@ def iss_coefficients(outputs: np.ndarray, variances: np.ndarray, n: int) -> np.n
     """
     n_frames = outputs.shape[2]
     inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
-    pivot = outputs[:, n, :]
-    num = np.einsum("fmt,ft->fm", outputs * inv, pivot.conj())
-    den = np.einsum("fmt,ft->fm", inv, np.abs(pivot) ** 2)
-    den = np.maximum(den, DENOMINATOR_GUARD)
-    gains = num / den
+    gains, den = steering_gains(outputs, inv, outputs[:, n, :])
     gains[:, n] = 1.0 - np.sqrt(n_frames) / np.sqrt(den[:, n])
     return gains
 

@@ -149,11 +149,9 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     return MixResult(mixture, direct, full, rirs, scaled, noise)
 
 
-def _segment_envelope(
-    rng: np.random.Generator, n_samples: int, sample_rate: int, segment_s: float = 0.25
-) -> np.ndarray:
-    """Piecewise-linear random amplitude contour in [0.05, 1]."""
-    seg = max(1, int(round(segment_s * sample_rate)))
+def _segment_envelope(rng: np.random.Generator, n_samples: int, sample_rate: int) -> np.ndarray:
+    """Piecewise-linear random amplitude contour in [0.05, 1], one knot per 0.25 s."""
+    seg = max(1, int(round(0.25 * sample_rate)))
     n_knots = n_samples // seg + 2
     knots = rng.uniform(0.05, 1.0, size=n_knots)
     return np.interp(np.arange(n_samples), np.arange(n_knots) * seg, knots)

@@ -10,7 +10,6 @@ window coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -78,7 +77,6 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-@lru_cache(maxsize=16)
 def _windows(frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     """Analysis window and its canonical dual for overlap-add synthesis."""
     window = hann_window(frame_len)
@@ -88,8 +86,6 @@ def _windows(frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
     if cola.min() < 1e-12:
         raise ValueError("window/hop combination has a vanishing overlap-add normalizer")
     dual = window / np.tile(cola, frame_len // hop)
-    window.setflags(write=False)
-    dual.setflags(write=False)
     return window, dual
 
 

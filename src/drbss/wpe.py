@@ -59,15 +59,14 @@ def wpe_run(
     taps: TapConfig,
     iterations: int,
     counter: SolveCounter | None = None,
-    trace: list[float] | None = None,
     callback=None,
 ) -> Spectrogram:
     """Alternate variance, filter, and dereverberation steps.
 
-    If ``trace`` is given, the objective is appended once before the
-    first iteration and once after each iteration. ``callback(iteration,
-    dereverbed)`` is invoked at the same points, after the objective,
-    with the live (F, M, T) residual.
+    ``callback(iteration, dereverbed, variances)`` is invoked once
+    before the first iteration and once after each iteration, with the
+    live (F, M, T) residual and its (F, T) variance track; evaluate
+    :func:`wpe_objective` on them to trace the objective.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -83,8 +82,6 @@ def wpe_run(
             out = wpe_dereverb(coeffs, spec, sx)
             z = out.data
             variances = wpe_variance_update(z)
-        if trace is not None:
-            trace.append(wpe_objective(z, variances))
         if callback is not None:
-            callback(i, z)
+            callback(i, z, variances)
     return out

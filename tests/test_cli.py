@@ -260,13 +260,9 @@ def test_bench_grid_with_failed_cell(tmp_path):
     failed = {(r["variant"], r["n_sources"]): r["failed"] for r in summary}
     assert failed[("ilrma-iss", "5")] == "1"
     assert failed[("ilrma-iss", "2")] == "0"
-    # the process pool writes the same files as the serial loop
-    pooled = cmd_bench(path, tmp_path / "bench_pool", workers=2)
-    for name in ("curves.csv", "summary.csv"):
-        assert (pooled / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_bench_rejects_bad_matrix(tmp_path):
+def test_bench_rejects_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"variants": []}))
     with pytest.raises(ConfigError):
@@ -287,6 +283,42 @@ def test_bench_rejects_bad_matrix(tmp_path):
             cmd_bench(path, tmp_path / "bench2")
         assert main(["bench", str(path), "--out", str(tmp_path / "bench3")]) == 2
         assert not (tmp_path / "bench3" / "curves.csv").exists()
+    # each grid axis is a non-empty list; anything else exits 2 naming the key
+    for key, bad in (
+        ("n_sources", 2), ("seeds", 0), ("seeds", None), ("variants", "ilrma-ip"),
+        ("n_sources", []), ("seeds", []), ("variants", []),
+    ):
+        path.write_text(json.dumps({"variants": ["ilrma-ip"], key: bad}))
+        with pytest.raises(ConfigError, match=f"^{key} must be a non-empty list"):
+            cmd_bench(path, tmp_path / "bench2")
+        capsys.readouterr()
+        assert main(["bench", str(path), "--out", str(tmp_path / "bench4")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not (tmp_path / "bench4").exists()
+
+
+def test_mono_wav_checks_exit_2(tmp_path, capsys):
+    mono8k, mono16k, stereo = tmp_path / "mono8k.wav", tmp_path / "mono16k.wav", tmp_path / "stereo.wav"
+    write_wav(mono8k, FS, np.zeros(4000))
+    write_wav(mono16k, 2 * FS, np.zeros(8000))
+    write_wav(stereo, FS, np.zeros((2, 4000)))
+
+    def fails(argv, out, text):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and text in err
+        assert not out.exists()
+
+    fails(["simulate", "--wav", str(stereo), "--wav", str(mono8k)], tmp_path / "s1", str(stereo))
+    fails(["simulate", "--wav", str(mono8k), "--wav", str(mono16k)], tmp_path / "s2", "mixed sample rates")
+    sim = simulate_tree(tmp_path, seed=5)
+    est_dir = tmp_path / "est"
+    est_dir.mkdir()
+    write_wav(est_dir / "src00.wav", FS, np.zeros(FS))
+    write_wav(est_dir / "src01.wav", FS, np.zeros((2, FS)))
+    fails(["eval", "--refs", str(sim), "--estimates", str(est_dir)], tmp_path / "e1", "src01.wav")
 
 
 def test_main_exit_codes(tmp_path):
@@ -357,6 +389,11 @@ def test_cli_surface_is_pinned(tmp_path, capsys):
         "-h", "--help", "--out", "--config", "--n-sources", "--sample-rate", "--rt60", "--snr",
         "--seed", "--duration", "--tail-gain", "--max-direct-delay", "--wav",
     ]
+    # cells run in one process: there is no worker count to set
+    assert _option_strings("bench") == ["-h", "--help", "--out"]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["bench", "m.json", "--out", "o", "--workers", "2"])
+    assert exc.value.code == 2
     # run configs written before the unused ``reference`` key was removed
     old_cfg = tmp_path / "old.json"
     old_cfg.write_text(json.dumps({"variant": "ilrma-ip", "reference": "direct-path"}))

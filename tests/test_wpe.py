@@ -79,7 +79,7 @@ def test_objective_oracle():
 def test_run_objective_monotone_on_reverberant_mixture():
     spec = desk_spectrogram(0)
     trace = []
-    wpe_run(spec, TapConfig(5, 2), 10, trace=trace)
+    wpe_run(spec, TapConfig(5, 2), 10, callback=lambda i, z, r: trace.append(wpe_objective(z, r)))
     costs = np.asarray(trace)
     assert len(costs) == 11
     diffs = np.diff(costs)
