@@ -66,24 +66,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - names)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        return cls.from_dict(_load_json_dict(path))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        return cls(**data)
 
 
 def _load_json_dict(path: str | Path) -> dict:
@@ -118,6 +104,10 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         arr = arr[None, :]
     else:
         arr = arr.T
+    if arr.size == 0:
+        raise ConfigError(f"{path}: WAV has no samples")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: WAV has non-finite samples")
     return int(rate), arr
 
 
@@ -188,15 +178,9 @@ def cmd_simulate(
     for i in range(cfg.n_sources):
         write_wav(out / "refs" / "direct" / f"src{i:02d}.wav", cfg.sample_rate, result.direct_images[i, 0])
         write_wav(out / "refs" / "anechoic" / f"src{i:02d}.wav", cfg.sample_rate, result.sources[i])
-    meta = {
-        "n_sources": cfg.n_sources,
-        "sample_rate": cfg.sample_rate,
-        "rt60": cfg.rt60,
+    meta = asdict(cfg) | {
         "snr": cfg.snr if np.isfinite(cfg.snr) else "inf",
         "noise_variance": 0.0 if np.isinf(cfg.snr) else cfg.n_sources / cfg.snr,
-        "seed": cfg.seed,
-        "tail_gain": cfg.tail_gain,
-        "max_direct_delay": cfg.max_direct_delay,
         "n_samples": int(sources.shape[1]),
         "rir_sha256": [
             [hashlib.sha256(h.tobytes()).hexdigest() for h in row]
@@ -269,7 +253,7 @@ def _write_report(
         else 0.0
     )
     report = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "n_bins": spec.n_bins,
         "n_frames": spec.n_frames,
         "n_channels": spec.n_channels,
@@ -409,8 +393,9 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
         _, run_result = _separate(
             config, result.mixture, fs, callback=checkpoint, callback_every=metric_every
         )
-        final_est = synthesize(run_result.outputs)
-        deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, result.mixture)
+        if config.iterations not in deltas:  # the last checkpoint already scored the final state
+            final_est = synthesize(run_result.outputs)
+            deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, result.mixture)
         rows = []
         for iteration in sorted(deltas):
             rows.append(
@@ -491,9 +476,10 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _overrides(args: argparse.Namespace, names: list[str]) -> dict:
-    """The config keys among ``names`` whose flag was given."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+def _config_from_args(args: argparse.Namespace, names: list[str]) -> dict:
+    """The ``--config`` object (or ``{}``) with every given flag among ``names`` applied over it."""
+    data = _load_json_dict(args.config) if args.config else {}
+    return data | {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,31 +517,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config_from_args(args: argparse.Namespace) -> RunConfig:
-    data = RunConfig.load(args.config).to_dict() if args.config else RunConfig().to_dict()
-    data.update(_overrides(args, [f.name for f in fields(RunConfig)]))
-    return RunConfig.from_dict(data)
-
-
-def _room_config_from_args(args: argparse.Namespace) -> tuple[SyntheticRoomConfig, float]:
-    data = _load_json_dict(args.config) if args.config else {}
-    data.update(_overrides(args, [name for name, _, _ in _ROOM_FLAGS]))
-    if args.wav and "n_sources" not in data:
-        data["n_sources"] = len(args.wav)
-    if "n_sources" not in data:
-        data["n_sources"] = 2
-    return room_config_from_dict(data)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            cfg, duration = _room_config_from_args(args)
+            data = _config_from_args(args, [name for name, _, _ in _ROOM_FLAGS])
+            data.setdefault("n_sources", len(args.wav) if args.wav else 2)
+            cfg, duration = room_config_from_dict(data)
             cmd_simulate(cfg, args.out, duration, args.wav)
         elif args.command == "separate":
-            cmd_separate(args.mixture, _run_config_from_args(args), args.out)
+            data = _config_from_args(args, [f.name for f in fields(RunConfig)])
+            cmd_separate(args.mixture, RunConfig.from_dict(data), args.out)
         elif args.command == "eval":
             cmd_eval(args.refs, args.estimates, args.mode, args.out, args.mixture)
         elif args.command == "bench":

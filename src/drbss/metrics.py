@@ -118,7 +118,8 @@ def align_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[in
     """Assignment of estimates to references maximizing total SI-SDR.
 
     Exhaustive over all permutations; ties keep the lexicographically
-    first assignment, so the result is deterministic.
+    first assignment, so the result is deterministic. A NaN total never
+    displaces an earlier assignment, so an all-NaN table gives the identity.
     """
     refs = np.asarray(references, dtype=np.float64)
     ests = np.asarray(estimates, dtype=np.float64)
@@ -126,15 +127,7 @@ def align_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[in
         raise ValueError("references and estimates must have matching shapes")
     n = refs.shape[0]
     table = np.array([[si_sdr(refs[i], ests[j]) for j in range(n)] for i in range(n)])
-    best: tuple[int, ...] | None = None
-    best_score = -np.inf
-    for perm in permutations(range(n)):
-        score = float(sum(table[i, perm[i]] for i in range(n)))
-        if score > best_score:
-            best_score = score
-            best = perm
-    assert best is not None
-    return best
+    return max(permutations(range(n)), key=lambda perm: sum(table[i, perm[i]] for i in range(n)))
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -35,13 +36,9 @@ def simulate_tree(tmp_path, seed=0, n_sources=2, duration=1.0, **kwargs):
     return out
 
 
-def test_run_config_round_trip(tmp_path):
+def test_run_config_round_trip():
     cfg = RunConfig(variant="ilrma-ip", iterations=7, frame_len=512, hop=128)
-    again = RunConfig.from_dict(cfg.to_dict())
-    assert again == cfg
-    path = tmp_path / "run.json"
-    cfg.save(path)
-    assert RunConfig.load(path) == cfg
+    assert RunConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_run_config_rejects_unknown_keys():
@@ -109,6 +106,8 @@ def test_simulate_artifacts(tmp_path):
         for i in range(2):
             assert (out / "refs" / sub / f"src{i:02d}.wav").is_file()
     meta = json.loads((out / "meta.json").read_text())
+    assert {f.name for f in fields(SyntheticRoomConfig)} <= set(meta)
+    assert meta["direct_delays"] is None and meta["direct_gains"] is None
     assert meta["n_sources"] == 2
     assert meta["sample_rate"] == FS
     assert meta["n_samples"] == FS  # one second
@@ -129,6 +128,33 @@ def test_simulate_deterministic(tmp_path):
     assert json.loads((a / "meta.json").read_text()) == json.loads(
         (b_dir / "meta.json").read_text()
     )
+
+
+def test_simulate_echoes_direct_paths(tmp_path):
+    room = tmp_path / "room.json"
+    delays, gains = [[0, 3], [5, 1]], [[1.0, 0.5], [1.0, 0.75]]
+    room.write_text(json.dumps({"sample_rate": FS, "duration": 0.5, "direct_delays": delays, "direct_gains": gains}))
+    assert main(["simulate", "--out", str(tmp_path / "s"), "--config", str(room)]) == 0
+    meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+    assert meta["direct_delays"] == delays and meta["direct_gains"] == gains
+
+
+def test_flags_apply_over_config_before_validation(tmp_path, capsys):
+    sim = simulate_tree(tmp_path, seed=12)
+    run = tmp_path / "run.json"
+    run.write_text(json.dumps({"variant": "ilrma-ip", "iterations": -1, "frame_len": 256, "hop": 128}))
+    argv = ["separate", str(sim / "mixture.wav"), "--config", str(run)]
+    assert main(argv + ["--out", str(tmp_path / "ok"), "--iterations", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    assert "iterations" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    room = tmp_path / "room.json"
+    room.write_text(json.dumps({"sample_rate": FS, "duration": 0.5, "rt60": -1}))
+    assert main(["simulate", "--out", str(tmp_path / "s"), "--config", str(room), "--rt60", "0.2"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--out", str(tmp_path / "s2"), "--config", str(room)]) == 2
+    assert "rt60" in capsys.readouterr().err
 
 
 def test_simulate_three_sources(tmp_path):
@@ -319,6 +345,21 @@ def test_mono_wav_checks_exit_2(tmp_path, capsys):
     write_wav(est_dir / "src00.wav", FS, np.zeros(FS))
     write_wav(est_dir / "src01.wav", FS, np.zeros((2, FS)))
     fails(["eval", "--refs", str(sim), "--estimates", str(est_dir)], tmp_path / "e1", "src01.wav")
+    # WAV input must be non-empty and finite
+    empty, nan = tmp_path / "empty.wav", tmp_path / "nan.wav"
+    write_wav(empty, FS, np.zeros(0))
+    write_wav(nan, FS, np.full(4000, np.nan))
+    fails(["simulate", "--wav", str(empty), "--wav", str(mono8k)], tmp_path / "s3", str(empty))
+    fails(["simulate", "--wav", str(nan), "--wav", str(mono8k)], tmp_path / "s4", str(nan))
+    write_wav(est_dir / "src01.wav", FS, np.full(FS, np.nan))
+    fails(["eval", "--refs", str(sim), "--estimates", str(est_dir)], tmp_path / "e2", "src01.wav")
+    write_wav(est_dir / "src01.wav", FS, np.zeros(FS))
+    write_wav(tmp_path / "nanmix.wav", FS, np.full((2, FS), np.nan))
+    fails(
+        ["eval", "--refs", str(sim), "--estimates", str(est_dir), "--mixture", str(tmp_path / "nanmix.wav")],
+        tmp_path / "e3",
+        "nanmix.wav",
+    )
 
 
 def test_main_exit_codes(tmp_path):

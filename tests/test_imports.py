@@ -1,11 +1,13 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every module-level private function or class is referenced somewhere."""
 
 import ast
 from pathlib import Path
 
 import drbss
 
-MODULES = sorted(p for p in Path(drbss.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(drbss.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,3 +33,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(MODULES) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in MODULES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module in ``sources`` reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{name}: {node.name}"
+        for name, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
+def test_scanner_flags_an_unreferenced_private_def():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _orphan():\n    _used()\n\nclass _Kept:\n    pass\n",
+        "b.py": "from a import _Kept\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py: _orphan"]
+
+
+def test_no_private_def_is_left_unreferenced():
+    assert unreferenced_private_defs({p.name: p.read_text() for p in SOURCES}) == []

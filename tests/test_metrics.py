@@ -168,6 +168,11 @@ def test_align_permutation_tie_break_is_lexicographic():
     assert align_permutation(refs, refs) == (0, 1)
 
 
+def test_align_permutation_nan_scores_keep_the_identity():
+    refs = np.random.default_rng(12).standard_normal((3, 200))
+    assert align_permutation(refs, np.full((3, 200), np.nan)) == (0, 1, 2)
+
+
 def test_align_permutation_shape_mismatch():
     with pytest.raises(ValueError):
         align_permutation(np.zeros((2, 10)), np.zeros((3, 10)))
