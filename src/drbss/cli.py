@@ -139,9 +139,6 @@ def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
         duration = float(data.pop("duration", 4.0))
         if not 0 < duration < np.inf:
             raise ConfigError(f"duration must be positive and finite, got {duration!r}")
-        for key in ("direct_delays", "direct_gains"):
-            if data.get(key) is not None:
-                data[key] = tuple(tuple(row) for row in data[key])
         if isinstance(data.get("snr"), str):
             try:
                 data["snr"] = float(data["snr"])
@@ -385,14 +382,14 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
         deltas: dict[int, float] = {}
 
         def checkpoint(iteration: int, outputs: np.ndarray, dm) -> None:
+            if iteration % metric_every:
+                return
             if iteration > 0 and config.variant != AlgorithmVariant.WPE.value:
                 outputs, _ = projection_back(dm, outputs)
             est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
             deltas[iteration] = mean_delta_si_sdr(refs, est, result.mixture)
 
-        _, run_result = _separate(
-            config, result.mixture, fs, callback=checkpoint, callback_every=metric_every
-        )
+        _, run_result = _separate(config, result.mixture, fs, callback=checkpoint)
         if config.iterations not in deltas:  # the last checkpoint already scored the final state
             final_est = synthesize(run_result.outputs)
             deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, result.mixture)

@@ -131,7 +131,7 @@ def _steering_sweep_over_taps(
         return
     inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     for k in range(n, sx.dim):
-        tap = sx.tilde[:, k, :]
+        tap = sx.row(k)
         gains, _ = steering_gains(outputs, inv, tap)
         dm.matrix[:, :n, k] -= gains
         outputs -= gains[:, :, None] * tap[:, None, :]
@@ -255,7 +255,6 @@ def run(
     wpe_iterations: int = 3,
     counter: SolveCounter | None = None,
     callback=None,
-    callback_every: int = 0,
 ) -> RunResult:
     """Run one algorithm end to end on an observed spectrogram.
 
@@ -265,9 +264,9 @@ def run(
     the first channel (skipped for a zero-iteration run, which returns
     the input unchanged, and for plain dereverberation).
 
-    ``callback(iteration, outputs, demixer)`` is invoked every
-    ``callback_every`` iterations (and at iteration 0) with live
-    arrays; callers must copy what they keep.
+    ``callback(iteration, outputs, demixer)`` is invoked at iteration 0
+    and after every iteration with live arrays; callers must copy what
+    they keep.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -276,7 +275,7 @@ def run(
 
     traits = VARIANTS[variant]
     if traits.step is None:
-        return _run_wpe(spec, taps, iterations, counter, callback, callback_every)
+        return _run_wpe(spec, taps, iterations, counter, callback)
 
     work = wpe_run(spec, taps, wpe_iterations, counter) if traits.wpe_first else spec
     eff_taps = taps if traits.tapped else TapConfig(0, taps.delay)
@@ -304,7 +303,7 @@ def run(
             raise NumericalError(f"non-finite objective at iteration {i + 1}")
         trace.costs.append(value)
         trace.cumulative_solves.append(counter.iteration_solves)
-        if callback is not None and callback_every > 0 and (i + 1) % callback_every == 0:
+        if callback is not None:
             callback(i + 1, outputs, dm)
 
     scales = None
@@ -320,7 +319,6 @@ def _run_wpe(
     iterations: int,
     counter: SolveCounter,
     callback=None,
-    callback_every: int = 0,
 ) -> RunResult:
     """Plain dereverberation: the trace carries the prediction objective."""
     dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TapConfig(0, taps.delay))
@@ -335,7 +333,7 @@ def _run_wpe(
             if not np.isfinite(trace.costs[-1]):
                 raise NumericalError(f"non-finite objective at iteration {i}")
         trace.cumulative_solves.append(counter.iteration_solves)
-        if callback is not None and (i == 0 or (callback_every > 0 and i % callback_every == 0)):
+        if callback is not None:
             callback(i, dereverbed, dm)
         t0 = time.perf_counter()
 

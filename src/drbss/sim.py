@@ -26,8 +26,9 @@ class SyntheticRoomConfig:
     ``snr`` is a linear power ratio (noise variance per mic is
     n_sources / snr); ``tail_gain`` sets the reverberant tail level
     relative to the direct spike. ``direct_delays``/``direct_gains``
-    override the seeded per-(source, mic) draws when given, as nested
-    tuples indexed [source][mic].
+    override the seeded per-(source, mic) draws when given, as
+    n_sources x n_mics nested tuples indexed [source][mic]; mic 0 is the
+    reference, so every ``direct_gains[source][0]`` must be 1.0.
     """
 
     n_sources: int
@@ -59,6 +60,26 @@ class SyntheticRoomConfig:
             raise ValueError("max_direct_delay must be non-negative")
         if not 0 <= self.tail_gain < np.inf:
             raise ValueError(f"tail_gain must be finite and non-negative, got {self.tail_gain!r}")
+        n = self.n_sources
+        for name in ("direct_delays", "direct_gains"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not (
+                isinstance(value, (list, tuple))
+                and len(value) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n for row in value)
+            ):
+                raise ValueError(f"{name} must be {n} x {n} (sources x mics), got {value!r}")
+            object.__setattr__(self, name, tuple(tuple(row) for row in value))
+        delays, gains = self.direct_delays, self.direct_gains
+        if delays is not None and not all(type(d) is int and d >= 0 for row in delays for d in row):
+            raise ValueError(f"direct_delays must be non-negative ints, got {delays!r}")
+        if gains is not None:
+            if not all(type(g) in (int, float) and np.isfinite(g) for row in gains for g in row):
+                raise ValueError(f"direct_gains must be finite numbers, got {gains!r}")
+            if any(row[0] != 1.0 for row in gains):
+                raise ValueError(f"direct_gains[source][0] must be 1.0 (mic 0 is the reference), got {gains!r}")
 
     @property
     def n_mics(self) -> int:
@@ -72,8 +93,6 @@ def _direct_path(cfg: SyntheticRoomConfig, source: int, mic: int, rng: np.random
         delay = int(cfg.direct_delays[source][mic])
     if cfg.direct_gains is not None:
         gain = float(cfg.direct_gains[source][mic])
-    if mic == 0:
-        gain = 1.0
     return delay, gain
 
 

@@ -10,11 +10,12 @@ leading separation block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import SolveCounter, checked_solve
-from .stft import Spectrogram, StftConfig
+from .stft import Spectrogram
 
 
 @dataclass(frozen=True)
@@ -33,29 +34,35 @@ class TapConfig:
 
 @dataclass
 class StackedObservation:
-    """Stacked tensor of shape (n_bins, n_channels*(taps+1), n_frames).
+    """A spectrogram with its lags ``(0, delay, ..., delay+taps-1)``, held once.
 
-    The first ``n_channels`` block rows hold the current frame; block
-    row j >= 1 holds the frame at lag ``delay + j - 1``, zero-filled
-    where the lag runs off the start of the signal.
+    Stacked row k is channel ``k % M`` at lag ``lags[k // M]``, zero where
+    the lag runs off the start of the signal: a view of ``padded``, the
+    spectrogram front-padded with ``lags[-1]`` zero frames. The contiguous
+    (F, D, T) ``tilde`` is built on first use, by the Gram-forming updates.
     """
 
-    tilde: np.ndarray
-    n_channels: int
-    config: StftConfig
-    n_samples: int | None = None
+    spec: Spectrogram
+    lags: tuple[int, ...]
+    padded: np.ndarray
 
     @property
-    def n_bins(self) -> int:
-        return self.tilde.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.tilde.shape[2]
+    def n_channels(self) -> int:
+        return self.spec.n_channels
 
     @property
     def dim(self) -> int:
-        return self.tilde.shape[1]
+        return self.n_channels * len(self.lags)
+
+    def row(self, k: int) -> np.ndarray:
+        """Stacked row ``k``, an (F, T) view of ``padded``."""
+        start = self.lags[-1] - self.lags[k // self.n_channels]
+        return self.padded[:, k % self.n_channels, start : start + self.spec.n_frames]
+
+    @cached_property
+    def tilde(self) -> np.ndarray:
+        """Contiguous stacked tensor, (F, D, T)."""
+        return np.stack([self.row(k) for k in range(self.dim)], axis=1)
 
     @property
     def past(self) -> np.ndarray:
@@ -64,20 +71,15 @@ class StackedObservation:
 
 
 def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
-    """Stack a spectrogram with its delayed copies."""
-    n_channels, n_frames = spec.n_channels, spec.n_frames
-    if n_frames == 0:
+    """Hold a spectrogram with its lags; delayed rows are views of one padded copy."""
+    if spec.n_frames == 0:
         raise ValueError("spectrogram has no frames")
-    if taps.taps > 0 and taps.delay >= n_frames:
-        raise ValueError(f"delay {taps.delay} leaves no delayed frame in {n_frames} frames")
-    dim = n_channels * (taps.taps + 1)
-    tilde = np.zeros((spec.n_bins, dim, n_frames), dtype=np.complex128)
-    tilde[:, :n_channels, :] = spec.data
-    for j in range(1, taps.taps + 1):
-        shift = taps.delay + j - 1
-        if shift < n_frames:
-            tilde[:, j * n_channels : (j + 1) * n_channels, shift:] = spec.data[:, :, : n_frames - shift]
-    return StackedObservation(tilde, n_channels, spec.config, spec.n_samples)
+    lags = (0, *range(taps.delay, taps.delay + taps.taps))
+    if lags[-1] >= spec.n_frames:
+        last = f"delay {taps.delay} with {taps.taps} taps reaches lag {lags[-1]}"
+        raise ValueError(f"{last}, beyond the {spec.n_frames} frames")
+    padded = np.pad(spec.data, ((0, 0), (0, 0), (lags[-1], 0))) if lags[-1] else spec.data
+    return StackedObservation(spec, lags, padded)
 
 
 @dataclass
@@ -123,7 +125,7 @@ def demix(dm: ExtendedDemixer, sx: StackedObservation) -> Spectrogram:
     """Apply the free rows of the filter: outputs (F, N, T)."""
     if dm.dim != sx.dim or dm.n_channels != sx.n_channels:
         raise ValueError("demixer and stacked observation shapes do not match")
-    return Spectrogram(dm.top @ sx.tilde, sx.config, sx.n_samples)
+    return Spectrogram(dm.top @ sx.tilde, sx.spec.config, sx.spec.n_samples)
 
 
 def split_filter(

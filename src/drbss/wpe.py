@@ -23,7 +23,6 @@ def wpe_variance_update(dereverbed: np.ndarray) -> np.ndarray:
 def wpe_filter_update(
     variances: np.ndarray,
     sx: StackedObservation,
-    spec: Spectrogram,
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
     """Solve the prediction coefficients for the (F, T) variance track.
@@ -31,20 +30,19 @@ def wpe_filter_update(
     One (loaded) normal-equation solve per frequency, shared by all
     channels. Returns the (F, M, M*taps) coefficients.
     """
-    if sx.n_frames == 0:
-        raise ValueError("cannot fit a prediction filter on zero frames")
     past = sx.past
     inv = 1.0 / variances  # (F, T)
     weighted = past.conj()  # shared by both products; conj(x) conj(y) == conj(x y) exactly
     weighted *= inv[:, None, :]
     normal = np.conj(weighted @ past.swapaxes(1, 2))  # (F, NL, NL)
-    rhs = np.conj(weighted @ spec.data.swapaxes(1, 2))  # (F, NL, M)
+    rhs = np.conj(weighted @ sx.spec.data.swapaxes(1, 2))  # (F, NL, M)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 
 
-def wpe_dereverb(coeffs: np.ndarray, spec: Spectrogram, sx: StackedObservation) -> Spectrogram:
+def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:
     """Subtract the late reverberation ``coeffs`` predict from the observation."""
+    spec = sx.spec
     return Spectrogram(spec.data - coeffs @ sx.past, spec.config, spec.n_samples)
 
 
@@ -78,8 +76,8 @@ def wpe_run(
     out = spec
     for i in range(iterations + 1):
         if i > 0:
-            coeffs = wpe_filter_update(variances, sx, spec, counter)
-            out = wpe_dereverb(coeffs, spec, sx)
+            coeffs = wpe_filter_update(variances, sx, counter)
+            out = wpe_dereverb(coeffs, sx)
             z = out.data
             variances = wpe_variance_update(z)
         if callback is not None:

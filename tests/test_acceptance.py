@@ -119,7 +119,7 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
             0.5, 2.0, (1, n_bins, n_frames)
         )
 
-        predicted = wpe_filter_update(rvar[0], sx, spec)
+        predicted = wpe_filter_update(rvar[0], sx)
 
         dm = ExtendedDemixer.identity(n_bins, 1, taps)
         outputs = spec.data.copy()

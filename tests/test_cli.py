@@ -139,6 +139,23 @@ def test_simulate_echoes_direct_paths(tmp_path):
     assert meta["direct_delays"] == delays and meta["direct_gains"] == gains
 
 
+@pytest.mark.parametrize(
+    "room, key",
+    [
+        ({"direct_delays": [[0]]}, "direct_delays"),
+        ({"direct_delays": [[0, -3], [1, 2]]}, "direct_delays"),
+        ({"direct_gains": [[1.0, 0.5], [0.25, 1.0]]}, "direct_gains"),
+    ],
+)
+def test_simulate_rejects_bad_direct_paths(tmp_path, capsys, room, key):
+    config = tmp_path / "room.json"
+    config.write_text(json.dumps({"sample_rate": FS, "duration": 0.5} | room))
+    assert main(["simulate", "--out", str(tmp_path / "s"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "s").exists()
+
+
 def test_flags_apply_over_config_before_validation(tmp_path, capsys):
     sim = simulate_tree(tmp_path, seed=12)
     run = tmp_path / "run.json"
@@ -362,7 +379,7 @@ def test_mono_wav_checks_exit_2(tmp_path, capsys):
     )
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     sim = simulate_tree(tmp_path, seed=11)
     code = main(
         ["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "m0"),
@@ -400,6 +417,15 @@ def test_main_exit_codes(tmp_path):
          "--variant", "ilrma-t-iss-seq", "--delay", "100", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
     )
     assert code == 2
+
+    # so does a last lag, delay + taps - 1, past it: the last tap rows would be all zero
+    capsys.readouterr()
+    code = main(
+        ["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "m6"), "--variant", "ilrma-t-ip",
+         "--delay", "60", "--taps", "5", "--iterations", "1", "--frame-len", "256", "--hop", "128"]
+    )
+    assert code == 2
+    assert "delay 60 with 5 taps reaches lag 64, beyond the 64 frames" in capsys.readouterr().err
 
     # non-finite room values exit 2 before anything is written
     for flag in ("--rt60", "--duration", "--tail-gain"):

@@ -1,5 +1,7 @@
 """Unified-filter runs: cost, reductions, projection, and bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -202,9 +204,30 @@ def test_run_callback_schedule():
         taps=SMALL_TAPS,
         seed=7,
         callback=lambda i, outputs, dm: seen.append(i),
-        callback_every=2,
     )
-    assert seen == [0, 2, 4, 6]
+    assert seen == [0, 1, 2, 3, 4, 5, 6]
+    seen.clear()
+    run(AlgorithmVariant.WPE, spec, iterations=3, taps=SMALL_TAPS, callback=lambda i, z, dm: seen.append(i))
+    assert seen == [0, 1, 2, 3]
+
+
+def test_iss_seq_run_never_builds_the_stacked_tensor():
+    """The scalar tap sweep reads delayed rows as views of one padded copy.
+
+    With taps=8 the (F, D, T) stacked tensor is nine copies of the
+    observation; the whole run's traced peak stays below it.
+    """
+    spec = small_spec(12, n_samples=12000)
+    taps = TapConfig(8, 2)
+    f, m, t = spec.data.shape
+    tensor_bytes = 16 * f * m * (taps.taps + 1) * t
+    tracemalloc.start()
+    try:
+        run(AlgorithmVariant.ILRMA_T_ISS_SEQ, spec, iterations=2, taps=taps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tensor_bytes
 
 
 def test_run_wpe_variant():

@@ -215,7 +215,7 @@ def test_normal_equation_builders_hold_one_operand_sized_temporary():
     past_bytes = sx.past.nbytes
     joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, variances, outputs))
     cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, variances[0]))
-    wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[0], sx, spec))
+    wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[0], sx))
     assert joint <= 1.5 * past_bytes
     assert cov <= 1.5 * sx.tilde.nbytes
     assert wpe <= 1.5 * past_bytes
@@ -247,4 +247,4 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     normal = weighted @ past.conj().swapaxes(1, 2)
     rhs = weighted @ spec.data.conj().swapaxes(1, 2)
     want = checked_solve(add_loading(normal), rhs, "oracle").conj().swapaxes(1, 2)
-    assert np.array_equal(wpe_filter_update(variances[0], sx, spec), want)
+    assert np.array_equal(wpe_filter_update(variances[0], sx), want)

@@ -73,14 +73,41 @@ def test_direct_overrides_and_forced_reference_gain():
         rt60=0.0,
         seed=0,
         direct_delays=((3, 1), (0, 2)),
-        direct_gains=((0.7, 0.4), (0.9, 1.6)),
+        direct_gains=((1.0, 0.4), (1.0, 1.6)),
     )
     h00 = make_rir(cfg, 0, 0)
     h01 = make_rir(cfg, 0, 1)
     h11 = make_rir(cfg, 1, 1)
-    assert h00[3] == 1.0  # mic 0 gain is pinned to one even when overridden
+    assert h00[3] == 1.0
     assert h01[1] == 0.4
     assert h11[2] == 1.6
+    # mic 0 is the reference: an overridden gain there is an error, not ignored
+    with pytest.raises(ValueError, match=r"direct_gains\[source\]\[0\] must be 1.0"):
+        SyntheticRoomConfig(2, direct_gains=((0.7, 0.4), (1.0, 1.6)))
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("direct_delays", ((0,),), "direct_delays must be 2 x 2"),
+        ("direct_delays", ((0, 1), (2,)), "direct_delays must be 2 x 2"),
+        ("direct_delays", 3, "direct_delays must be 2 x 2"),
+        ("direct_delays", ((0, -3), (1, 2)), "direct_delays must be non-negative ints"),
+        ("direct_delays", ((0, 1.5), (1, 2)), "direct_delays must be non-negative ints"),
+        ("direct_gains", ((1.0,), (1.0,)), "direct_gains must be 2 x 2"),
+        ("direct_gains", ((1.0, float("nan")), (1.0, 1.0)), "direct_gains must be finite numbers"),
+        ("direct_gains", ((1.0, "x"), (1.0, 1.0)), "direct_gains must be finite numbers"),
+    ],
+)
+def test_direct_path_overrides_are_validated(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticRoomConfig(2, **{key: value})
+
+
+def test_direct_path_overrides_become_tuples():
+    cfg = SyntheticRoomConfig(2, direct_delays=[[0, 3], [5, 1]], direct_gains=[[1.0, 0.5], [1, 2.0]])
+    assert cfg.direct_delays == ((0, 3), (5, 1))
+    assert cfg.direct_gains == ((1.0, 0.5), (1, 2.0))
 
 
 def test_mixture_identity_and_unit_image_power():

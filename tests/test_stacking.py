@@ -57,8 +57,16 @@ def test_delay_blocks_and_zero_fill():
 
 
 def test_past_is_a_view():
-    sx = build_stacked(random_spec(2), TapConfig(3, 1))
+    """Every stacked row is a view of the one padded copy; past views tilde."""
+    spec = random_spec(2)
+    sx = build_stacked(spec, TapConfig(3, 2))
+    assert sx.lags == (0, 2, 3, 4)
+    assert sx.padded.shape == (CFG.n_bins, 2, spec.n_frames + 4)
+    for k in range(sx.dim):
+        assert np.shares_memory(sx.row(k), sx.padded)
+        assert np.array_equal(sx.row(k), sx.tilde[:, k, :])
     assert np.shares_memory(sx.past, sx.tilde)
+    assert not np.shares_memory(sx.padded, spec.data)
 
 
 def test_build_stacked_rejects_empty():
@@ -68,6 +76,10 @@ def test_build_stacked_rejects_empty():
     # a delay past the last frame would leave every delayed row zero
     with pytest.raises(ValueError, match="delay 12"):
         build_stacked(random_spec(0, n_frames=12), TapConfig(2, 12))
+    # so would a last lag delay + taps - 1 past it, for the last tap rows
+    with pytest.raises(ValueError, match="delay 10 with 3 taps reaches lag 12, beyond the 12 frames"):
+        build_stacked(random_spec(0, n_frames=12), TapConfig(3, 10))
+    assert build_stacked(random_spec(0, n_frames=12), TapConfig(2, 10)).lags[-1] == 11
 
 
 def test_identity_demixer_structure():
@@ -153,5 +165,8 @@ def test_stacking_keeps_sample_count():
     x = np.random.default_rng(8).standard_normal((2, 5000))
     spec = analyze(x, CFG)
     sx = build_stacked(spec, TapConfig(2, 2))
-    assert sx.n_samples == 5000
-    assert sx.n_frames == spec.n_frames
+    assert sx.spec is spec
+    dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TapConfig(2, 2))
+    out = demix(dm, sx)
+    assert out.n_samples == 5000
+    assert out.n_frames == spec.n_frames
