@@ -66,6 +66,18 @@ class CostTrace:
     def iterations(self) -> int:
         return len(self.costs) - 1
 
+    def record(self, value: float, solves: int, started: float | None = None) -> None:
+        """Append a state's objective and cumulative solves. ``started`` is the
+        ``perf_counter()`` at the start of the iteration that produced the state (None
+        for the initial state); the time since then goes to ``wall_ms``, and a
+        non-finite objective raises NumericalError."""
+        if started is not None:
+            self.wall_ms.append((time.perf_counter() - started) * 1e3)
+            if not np.isfinite(value):
+                raise NumericalError(f"non-finite objective at iteration {len(self.costs)}")
+        self.costs.append(value)
+        self.cumulative_solves.append(solves)
+
 
 @dataclass
 class RunResult:
@@ -75,19 +87,18 @@ class RunResult:
     scales: np.ndarray | None = None
 
 
-def cost(dm: ExtendedDemixer, outputs: np.ndarray, variances: np.ndarray) -> float:
+def cost(dm: ExtendedDemixer, power: np.ndarray, variances: np.ndarray) -> float:
     """Negative log-likelihood of the current filter and variance model.
 
-    ``outputs`` is (F, N, T); ``variances`` is (N, F, T), already
-    floored. A singular separation block is an error, not -inf.
+    ``power`` (the output power |y|^2) and the floored ``variances`` are
+    both (F, N, T). A singular separation block is an error, not -inf.
     """
-    n_frames = outputs.shape[2]
     _, logdet = np.linalg.slogdet(dm.mixing)
     if not np.all(np.isfinite(logdet)):
         bad = int(np.flatnonzero(~np.isfinite(logdet))[0])
         raise NumericalError(f"singular separation block at frequency bin {bad}")
-    det_term = -2.0 * n_frames * float(np.sum(logdet))
-    return det_term + model_cost(_power(outputs), variances)
+    det_term = -2.0 * power.shape[2] * float(np.sum(logdet))
+    return det_term + model_cost(power, variances)
 
 
 def ilrma_t_ip_iteration(
@@ -106,7 +117,7 @@ def ilrma_t_ip_iteration(
     del outputs  # recomputed from scratch below
     tilde = sx.tilde
     covs = [
-        add_loading(weighted_cov(tilde, variances[n])) for n in range(dm.n_channels)
+        add_loading(weighted_cov(tilde, variances[:, n])) for n in range(dm.n_channels)
     ]
     for n in range(dm.n_channels):
         ip_update_row(dm.matrix, covs[n], n, dm.n_channels, counter)
@@ -116,20 +127,17 @@ def ilrma_t_ip_iteration(
 def _steering_sweep_over_taps(
     dm: ExtendedDemixer,
     sx: StackedObservation,
-    variances: np.ndarray,
+    inv: np.ndarray,
     outputs: np.ndarray,
 ) -> None:
     """Scalar steering updates against each pinned tap row, ascending.
 
-    The tap signals are constant; the source sweep's gains are
-    re-derived from the live outputs after every column, so each scalar
-    step is an exact coordinate minimization. Touches only column ``k`` of the free
-    rows, so the determinant never moves.
+    ``inv`` holds the (F, N, T) inverse variances; the tap signals are
+    constant. Gains are re-derived from the live outputs after every column,
+    so each scalar step is an exact coordinate minimization. Only column ``k``
+    of the free rows moves, so the determinant never does.
     """
     n = dm.n_channels
-    if sx.dim == n:
-        return
-    inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     for k in range(n, sx.dim):
         tap = sx.row(k)
         gains, _ = steering_gains(outputs, inv, tap)
@@ -140,22 +148,21 @@ def _steering_sweep_over_taps(
 def _joint_tap_update(
     dm: ExtendedDemixer,
     sx: StackedObservation,
-    variances: np.ndarray,
+    inv: np.ndarray,
     outputs: np.ndarray,
     counter: SolveCounter | None = None,
 ) -> None:
     """Exact block update of each row's full tap segment.
 
-    Per source, the best tap row is the weighted projection of the
-    current output onto the delayed frames: one loaded solve per
-    (frequency, source).
+    Per source, the best tap row is the projection of the current output
+    onto the delayed frames, weighted by the (F, N, T) inverse variances
+    ``inv``: one loaded solve per (frequency, source).
     """
     past = sx.past
     n_lags = past.shape[1]
     if n_lags == 0:
         return
     n = dm.n_channels
-    inv = 1.0 / variances.transpose(1, 0, 2)
     normal = np.stack([weighted_gram(past, inv[:, m]) for m in range(n)], axis=1)  # (F, N, NL, NL)
     rhs = np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past)  # (F, N, NL)
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
@@ -172,8 +179,9 @@ def ilrma_t_iss_seq_iteration(
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
     """Source-steering sweep, then scalar sweeps over every tap column."""
-    iss_source_sweep(dm.matrix, outputs, variances)
-    _steering_sweep_over_taps(dm, sx, variances, outputs)
+    inv = 1.0 / variances
+    iss_source_sweep(dm.matrix, outputs, inv)
+    _steering_sweep_over_taps(dm, sx, inv, outputs)
     return outputs
 
 
@@ -185,8 +193,9 @@ def ilrma_t_iss_joint_iteration(
     counter: SolveCounter | None = None,
 ) -> np.ndarray:
     """Source-steering sweep, then one exact block solve per tap row."""
-    iss_source_sweep(dm.matrix, outputs, variances)
-    _joint_tap_update(dm, sx, variances, outputs, counter)
+    inv = 1.0 / variances
+    iss_source_sweep(dm.matrix, outputs, inv)
+    _joint_tap_update(dm, sx, inv, outputs, counter)
     return outputs
 
 
@@ -241,10 +250,6 @@ def projection_back(
     return outputs * scales[:, :, None], scales
 
 
-def _power(outputs: np.ndarray) -> np.ndarray:
-    return np.abs(outputs.transpose(1, 0, 2)) ** 2
-
-
 def run(
     variant: AlgorithmVariant,
     spec: Spectrogram,
@@ -288,21 +293,17 @@ def run(
 
     step = _ITERATIONS[variant]
     trace = CostTrace()
-    trace.costs.append(cost(dm, outputs, variances))
-    trace.cumulative_solves.append(counter.iteration_solves)
+    trace.record(cost(dm, np.abs(outputs) ** 2, variances), counter.iteration_solves)
     if callback is not None:
         callback(0, outputs, dm)
     for i in range(iterations):
-        t0 = time.perf_counter()
+        started = time.perf_counter()
         outputs = step(dm, sx, variances, outputs, counter)
         dm.assert_structure()
-        variances = nmf_update(model, _power(outputs))
-        value = cost(dm, outputs, variances)
-        trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite objective at iteration {i + 1}")
-        trace.costs.append(value)
-        trace.cumulative_solves.append(counter.iteration_solves)
+        power = np.abs(outputs) ** 2
+        variances = nmf_update(model, power)
+        trace.record(cost(dm, power, variances), counter.iteration_solves, started)
+        del power  # not held through the next step, where an iteration peaks in memory
         if callback is not None:
             callback(i + 1, outputs, dm)
 
@@ -323,19 +324,15 @@ def _run_wpe(
     """Plain dereverberation: the trace carries the prediction objective."""
     dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TapConfig(0, taps.delay))
     trace = CostTrace()
-    t0 = time.perf_counter()
+    started = time.perf_counter()
 
     def record(i: int, dereverbed: np.ndarray, variances: np.ndarray) -> None:
-        nonlocal t0
-        trace.costs.append(wpe_objective(dereverbed, variances))
-        if i > 0:
-            trace.wall_ms.append((time.perf_counter() - t0) * 1e3)
-            if not np.isfinite(trace.costs[-1]):
-                raise NumericalError(f"non-finite objective at iteration {i}")
-        trace.cumulative_solves.append(counter.iteration_solves)
+        nonlocal started
+        value = wpe_objective(dereverbed, variances)
+        trace.record(value, counter.iteration_solves, started if i > 0 else None)
         if callback is not None:
             callback(i, dereverbed, dm)
-        t0 = time.perf_counter()
+        started = time.perf_counter()
 
     out = wpe_run(spec, taps, iterations, counter, record)
     return RunResult(out, trace, dm, None)

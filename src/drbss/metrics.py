@@ -121,13 +121,17 @@ def align_permutation(references: np.ndarray, estimates: np.ndarray) -> tuple[in
     first assignment, so the result is deterministic. A NaN total never
     displaces an earlier assignment, so an all-NaN table gives the identity.
     """
-    refs = np.asarray(references, dtype=np.float64)
-    ests = np.asarray(estimates, dtype=np.float64)
+    return _align(np.asarray(references, dtype=np.float64), np.asarray(estimates, dtype=np.float64))[0]
+
+
+def _align(refs: np.ndarray, ests: np.ndarray) -> tuple[tuple[int, ...], list[float]]:
+    """``align_permutation`` and the SI-SDR of each chosen (reference, estimate) pair."""
     if refs.shape != ests.shape:
         raise ValueError("references and estimates must have matching shapes")
     n = refs.shape[0]
     table = np.array([[si_sdr(refs[i], ests[j]) for j in range(n)] for i in range(n)])
-    return max(permutations(range(n)), key=lambda perm: sum(table[i, perm[i]] for i in range(n)))
+    perm = max(permutations(range(n)), key=lambda perm: sum(table[i, perm[i]] for i in range(n)))
+    return perm, [float(table[i, perm[i]]) for i in range(n)]
 
 
 @dataclass
@@ -147,26 +151,23 @@ class EvalReport:
 
 
 def _aligned(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray):
-    """References, the estimates' permutation, and the aligned estimates and mixture."""
+    """References, the estimates' permutation, the aligned estimates and mixture,
+    and the estimates' SI-SDR and its gain over the mixture's, each pair scored once."""
     refs = np.asarray(references, dtype=np.float64)
     ests = np.asarray(estimates, dtype=np.float64)
     mix = np.asarray(mixture, dtype=np.float64)
     if mix.ndim == 1:
         mix = mix[None, :]
-    perm = align_permutation(refs, ests)
-    return refs, perm, ests[list(perm)], mix[list(align_permutation(refs, mix))]
-
-
-def _si_sdr_and_delta(refs: np.ndarray, ests: np.ndarray, base: np.ndarray) -> tuple[list, list]:
-    """Per-source SI-SDR of aligned estimates and its gain over ``base``."""
-    sdr = [si_sdr(r, e) for r, e in zip(refs, ests)]
-    return sdr, [s - si_sdr(r, b) for s, r, b in zip(sdr, refs, base)]
+    perm, sdr = _align(refs, ests)
+    mix_perm, base_sdr = _align(refs, mix)
+    delta = [s - b for s, b in zip(sdr, base_sdr)]
+    return refs, perm, ests[list(perm)], mix[list(mix_perm)], sdr, delta
 
 
 def mean_delta_si_sdr(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray) -> float:
     """``evaluate(...).mean_delta_si_sdr`` without SI-SIR or cepstral distance."""
-    refs, _, ests, base = _aligned(references, estimates, mixture)
-    return float(np.mean(_si_sdr_and_delta(refs, ests, base)[1]))
+    *_, delta = _aligned(references, estimates, mixture)
+    return float(np.mean(delta))
 
 
 def evaluate(
@@ -181,8 +182,7 @@ def evaluate(
     exhaustive assignment as the estimates, so scoring the mixture
     against itself yields exactly zero deltas.
     """
-    refs, perm, ests, base = _aligned(references, estimates, mixture)
-    sdr, d_sdr = _si_sdr_and_delta(refs, ests, base)
+    refs, perm, ests, base, sdr, d_sdr = _aligned(references, estimates, mixture)
     sir = [si_sir(refs, e, i) for i, e in enumerate(ests)]
     cd = [cepstral_distance(r, e, sample_rate) for r, e in zip(refs, ests)]
     d_sir = [s - si_sir(refs, b, i) for i, (s, b) in enumerate(zip(sir, base))]

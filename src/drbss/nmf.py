@@ -1,8 +1,9 @@
 """Low-rank nonnegative variance model for the separated sources.
 
-Each source's time-frequency variance is r[n] = bases[n].T @
+Each source's time-frequency variance is r[:, n] = bases[n].T @
 activations[n].T, updated with multiplicative rules that never increase
-the Itakura-Saito fit between the output power and the model.
+the Itakura-Saito fit between the output power and the model. Power and
+variances share the outputs' (F, N, T) layout.
 """
 from __future__ import annotations
 
@@ -43,38 +44,32 @@ def init_model(
 
 
 def variance(model: NmfVarianceModel) -> np.ndarray:
-    """Modelled variances, shape (N, F, T), floored away from zero."""
-    r = np.einsum("nkf,ntk->nft", model.bases, model.activations)
+    """Modelled variances, shape (F, N, T), floored away from zero."""
+    r = np.einsum("nkf,ntk->fnt", model.bases, model.activations)
     return np.maximum(r, model.floor)
 
 
 def nmf_update(model: NmfVarianceModel, power: np.ndarray) -> np.ndarray:
     """One multiplicative sweep (bases, then activations) against ``power``.
 
-    ``power`` is the output power |y|^2 with shape (N, F, T). The
+    ``power`` is the output power |y|^2 with shape (F, N, T). The
     variances are refreshed between the two half-updates; the refreshed
-    (N, F, T) variance tensor is returned.
+    (F, N, T) variance tensor is returned.
     """
-    if power.shape != (model.n_sources, model.bases.shape[2], model.activations.shape[1]):
+    if power.shape != (model.bases.shape[2], model.n_sources, model.activations.shape[1]):
         raise ValueError("power tensor shape does not match the model")
     if np.any(power < 0):
         raise ValueError("power tensor must be nonnegative")
 
-    r = variance(model)
-    ratio = power / (r * r)
-    inv = 1.0 / r
-    num = np.einsum("ntk,nft->nkf", model.activations, ratio)
-    den = np.einsum("ntk,nft->nkf", model.activations, inv)
-    model.bases *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
-    np.maximum(model.bases, FACTOR_FLOOR, out=model.bases)
-
-    r = variance(model)
-    ratio = power / (r * r)
-    inv = 1.0 / r
-    num = np.einsum("nkf,nft->ntk", model.bases, ratio)
-    den = np.einsum("nkf,nft->ntk", model.bases, inv)
-    model.activations *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
-    np.maximum(model.activations, FACTOR_FLOOR, out=model.activations)
+    for factor, other, subscripts in (
+        (model.bases, model.activations, "ntk,fnt->nkf"),
+        (model.activations, model.bases, "nkf,fnt->ntk"),
+    ):
+        r = variance(model)
+        num = np.einsum(subscripts, other, power / (r * r))
+        den = np.einsum(subscripts, other, 1.0 / r)
+        factor *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
+        np.maximum(factor, FACTOR_FLOOR, out=factor)
 
     return variance(model)
 

@@ -83,15 +83,14 @@ def steering_gains(
     return num / den, den
 
 
-def iss_coefficients(outputs: np.ndarray, variances: np.ndarray, n: int) -> np.ndarray:
+def iss_coefficients(outputs: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray:
     """Source-steering gains for pivot source ``n``, shape (F, N).
 
-    Computed from the current outputs alone: cross gains are ratios of
-    variance-weighted correlations, and the self gain rescales the pivot
-    to unit weighted power.
+    ``inv`` holds the (F, N, T) inverse variances 1 / r. Computed from the
+    current outputs alone: cross gains are ratios of variance-weighted
+    correlations, and the self gain rescales the pivot to unit weighted power.
     """
     n_frames = outputs.shape[2]
-    inv = 1.0 / variances.transpose(1, 0, 2)  # (F, N, T)
     gains, den = steering_gains(outputs, inv, outputs[:, n, :])
     gains[:, n] = 1.0 - np.sqrt(n_frames) / np.sqrt(den[:, n])
     return gains
@@ -100,7 +99,7 @@ def iss_coefficients(outputs: np.ndarray, variances: np.ndarray, n: int) -> np.n
 def iss_update_source(
     matrix: np.ndarray,
     outputs: np.ndarray,
-    variances: np.ndarray,
+    inv: np.ndarray,
     n: int,
 ) -> None:
     """Rank-1 source-steering update around pivot source ``n``, in place.
@@ -109,7 +108,7 @@ def iss_update_source(
     outputs consistent incrementally. No linear solves.
     """
     n_src = outputs.shape[1]
-    gains = iss_coefficients(outputs, variances, n)
+    gains = iss_coefficients(outputs, inv, n)
     pivot_row = matrix[:, n, :].copy()
     pivot_out = outputs[:, n, :].copy()
     matrix[:, :n_src, :] -= gains[:, :, None] * pivot_row[:, None, :]
@@ -119,8 +118,8 @@ def iss_update_source(
 def iss_source_sweep(
     matrix: np.ndarray,
     outputs: np.ndarray,
-    variances: np.ndarray,
+    inv: np.ndarray,
 ) -> None:
-    """One full steering sweep over sources 0..N-1 in ascending order."""
+    """One steering sweep over sources 0..N-1 under fixed (F, N, T) inverse variances."""
     for n in range(outputs.shape[1]):
-        iss_update_source(matrix, outputs, variances, n)
+        iss_update_source(matrix, outputs, inv, n)

@@ -133,13 +133,21 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
 
     Each source is scaled so its full reverberant image at the first
     mic has unit power, making the per-mic noise variance
-    ``n_sources / snr`` a calibrated SNR.
+    ``n_sources / snr`` a calibrated SNR. A direct-path delay must be
+    shorter than the signal.
     """
     s = np.asarray(sources, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != cfg.n_sources:
         raise ValueError(f"sources must have shape ({cfg.n_sources}, n_samples)")
     n, m = cfg.n_sources, cfg.n_mics
     n_samples = s.shape[1]
+    paths = {}
+    for i, j in np.ndindex(n, m):
+        paths[i, j] = _direct_path(cfg, i, j, np.random.default_rng([cfg.seed, _RIR_TAG, i, j]))
+        if paths[i, j][0] >= n_samples:
+            key = "direct_delays" if cfg.direct_delays is not None else "max_direct_delay"
+            raise ValueError(f"{key}: direct delay {paths[i, j][0]} of source {i} at mic {j} "
+                             f"is not shorter than the signal ({n_samples} samples)")
     rirs = [[make_rir(cfg, i, j) for j in range(m)] for i in range(n)]
 
     scaled = np.empty_like(s)
@@ -155,8 +163,7 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     for i in range(n):
         for j in range(m):
             full[i, j] = fftconvolve(scaled[i], rirs[i][j])[:n_samples]
-            rng = np.random.default_rng([cfg.seed, _RIR_TAG, i, j])
-            delay, gain = _direct_path(cfg, i, j, rng)
+            delay, gain = paths[i, j]
             direct[i, j, delay:] = gain * scaled[i, : n_samples - delay]
 
     if np.isinf(cfg.snr):

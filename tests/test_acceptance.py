@@ -49,7 +49,7 @@ from drbss import (
     wpe_filter_update,
 )
 from drbss.cli import RunConfig, cmd_separate, cmd_simulate
-from drbss.ilrma_t import _joint_tap_update, _power, ilrma_t_iss_seq_iteration
+from drbss.ilrma_t import _joint_tap_update, ilrma_t_iss_seq_iteration
 from drbss.separation import iss_coefficients, weighted_cov
 
 
@@ -117,13 +117,13 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
         n_bins, _, n_frames = spec.data.shape
         rvar = np.random.default_rng(seed + 77).uniform(
             0.5, 2.0, (1, n_bins, n_frames)
-        )
+        ).transpose(1, 0, 2)  # (F, N, T)
 
-        predicted = wpe_filter_update(rvar[0], sx)
+        predicted = wpe_filter_update(rvar[:, 0], sx)
 
         dm = ExtendedDemixer.identity(n_bins, 1, taps)
         outputs = spec.data.copy()
-        _joint_tap_update(dm, sx, rvar, outputs)
+        _joint_tap_update(dm, sx, 1.0 / rvar, outputs)
         _, implied = split_filter(dm)
 
         worst = max(worst, float(np.abs(implied - predicted).max()))
@@ -168,18 +168,18 @@ def test_criterion_06_steering_gain_forms_agree(case_seed):
     x = rng.standard_normal((n_bins, n_src, n_frames)) + 1j * rng.standard_normal(
         (n_bins, n_src, n_frames)
     )
-    variances = rng.uniform(0.2, 3.0, (n_src, n_bins, n_frames))
+    variances = rng.uniform(0.2, 3.0, (n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
     w = rng.standard_normal((n_bins, n_src, n_src)) + 1j * rng.standard_normal(
         (n_bins, n_src, n_src)
     )
     w += 2.0 * np.eye(n_src)
     outputs = w @ x
     for pivot in range(n_src):
-        got = iss_coefficients(outputs, variances, pivot)
+        got = iss_coefficients(outputs, 1.0 / variances, pivot)
         want = np.empty_like(got)
         for f in range(n_bins):
             for m in range(n_src):
-                g = weighted_cov(x[f : f + 1], variances[m, f : f + 1])[0]
+                g = weighted_cov(x[f : f + 1], variances[f : f + 1, m])[0]
                 num = w[f, m] @ g @ w[f, pivot].conj()
                 den = w[f, pivot] @ g @ w[f, pivot].conj()
                 if m == pivot:
@@ -264,7 +264,7 @@ def test_criterion_09_stationarity_at_convergence():
     outputs = spec.data.copy()
     for _ in range(150):
         outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
-        variances = nmf_update(model, _power(outputs))
+        variances = nmf_update(model, np.abs(outputs) ** 2)
     for _ in range(1000):
         outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
 
@@ -281,7 +281,7 @@ def test_criterion_09_stationarity_at_convergence():
             shifted = dm.matrix.copy()
             shifted[:, :n_src, :] += sign * step * direction
             moved = ExtendedDemixer(shifted, n_src)
-            two_sided.append(cost(moved, moved.top @ sx.tilde, variances))
+            two_sided.append(cost(moved, np.abs(moved.top @ sx.tilde) ** 2, variances))
         worst = min(worst, (two_sided[0] - two_sided[1]) / (2 * step))
     assert worst >= -1e-3, f"descent direction found: {worst:.3e}"
 

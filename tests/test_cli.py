@@ -145,6 +145,9 @@ def test_simulate_echoes_direct_paths(tmp_path):
         ({"direct_delays": [[0]]}, "direct_delays"),
         ({"direct_delays": [[0, -3], [1, 2]]}, "direct_delays"),
         ({"direct_gains": [[1.0, 0.5], [0.25, 1.0]]}, "direct_gains"),
+        ({"direct_delays": [[0, 5000], [0, 0]]}, "direct_delays"),
+        ({"direct_delays": [[0, 4000], [0, 0]]}, "direct_delays"),
+        ({"duration": 0.001, "max_direct_delay": 12}, "max_direct_delay"),
     ],
 )
 def test_simulate_rejects_bad_direct_paths(tmp_path, capsys, room, key):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every module-level private function or class is referenced somewhere."""
+"""Source hygiene: every name a module imports is used in that module,
+every module-level private function or class is referenced somewhere, and
+only the STFT module converts array layout."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,34 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(MODULES) >= 10
     found = {p.name: unused_imports(p.read_text()) for p in MODULES}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def layout_conversions(source: str) -> list[str]:
+    """Calls in ``source`` that reorder array axes: ``transpose`` or ``moveaxis``."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("transpose", "moveaxis"):
+                hits.append(f"line {node.lineno}: {name}")
+    return sorted(hits)
+
+
+def test_scanner_flags_a_layout_conversion():
+    source = (
+        "import numpy as np\n"
+        "a = x.transpose(1, 0, 2)\n"
+        "b = np.moveaxis(x, 0, 1)\n"
+        "c = np.transpose(x)\n"
+        "d = x.swapaxes(1, 2) @ x.T\n"
+    )
+    assert layout_conversions(source) == ["line 2: transpose", "line 3: moveaxis", "line 4: transpose"]
+
+
+def test_only_stft_converts_layout():
+    """Every per-bin tensor is (F, ..., T); ``stft`` alone converts to and from it."""
+    found = {p.name: layout_conversions(p.read_text()) for p in MODULES if p.name != "stft.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:

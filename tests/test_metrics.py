@@ -10,6 +10,7 @@ from drbss import (
     si_sdr,
     si_sir,
 )
+from drbss import metrics
 from drbss.metrics import DB_CAP, hann_window, mean_delta_si_sdr
 
 FS = 8000
@@ -200,3 +201,30 @@ def test_evaluate_improvement_is_positive_for_cleaner_estimates():
     # the SI-SDR-only score takes the same alignment path, bit for bit
     assert mean_delta_si_sdr(refs, ests, mixture) == report.mean_delta_si_sdr
     assert mean_delta_si_sdr(refs, ests[::-1], mixture) == report.mean_delta_si_sdr
+
+
+def test_evaluate_scores_each_pair_once(monkeypatch):
+    """Alignment scores every (reference, signal) pair once, and the report
+    reuses the chosen pairs' scores: the same calls, so the same bits."""
+    rng = np.random.default_rng(14)
+    refs = rng.standard_normal((3, 4000))
+    mixture = np.stack([refs[0] + 0.5 * refs[1], refs[1] - 0.25 * refs[2], refs[2] + 0.3 * refs[0]])
+    ests = refs[[2, 0, 1]] + 0.1 * rng.standard_normal((3, 4000))
+    report = evaluate(refs, ests, mixture, FS)
+    assert report.permutation == (1, 2, 0)
+    assert report.si_sdr == [si_sdr(refs[i], ests[j]) for i, j in enumerate(report.permutation)]
+    base = [si_sdr(refs[i], mixture[i]) for i in range(3)]
+    assert report.delta_si_sdr == [s - b for s, b in zip(report.si_sdr, base)]
+
+    calls = []
+
+    def counted(reference, estimate):
+        calls.append(1)
+        return si_sdr(reference, estimate)
+
+    monkeypatch.setattr(metrics, "si_sdr", counted)
+    assert evaluate(refs, ests, mixture, FS) == report
+    assert len(calls) == 2 * 3 * 3
+    calls.clear()
+    assert mean_delta_si_sdr(refs, ests, mixture) == report.mean_delta_si_sdr
+    assert len(calls) == 2 * 3 * 3

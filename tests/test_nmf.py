@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from drbss import NmfVarianceModel, init_model, nmf_update, variance
+from drbss import AlgorithmVariant, NmfVarianceModel, init_model, nmf_update, run, variance
 from drbss.nmf import model_cost
+from tests.conftest import desk_spectrogram
 
 
 def test_init_model_determinism_and_range():
@@ -32,10 +33,10 @@ def test_variance_oracle():
     acts = np.array([[[1.0, 0.5], [2.0, 1.0]]])  # (1, T=2, K=2)
     model = NmfVarianceModel(bases, acts)
     r = variance(model)
-    # r[f, t] = sum_k bases[k, f] * acts[t, k]
-    want = np.array([[[1 * 1 + 0.5 * 3, 1 * 2 + 1 * 3], [1 * 2 + 0.5 * 4, 2 * 2 + 1 * 4]]])
+    # r[f, 0, t] = sum_k bases[k, f] * acts[t, k]
+    want = np.array([[[1 * 1 + 0.5 * 3, 1 * 2 + 1 * 3]], [[1 * 2 + 0.5 * 4, 2 * 2 + 1 * 4]]])
     assert np.allclose(r, want, atol=1e-15)
-    assert r.shape == (1, 2, 2)
+    assert r.shape == (2, 1, 2)
 
 
 def test_variance_floor_engages():
@@ -59,7 +60,7 @@ def test_exact_rank_one_fit_is_a_fixed_point():
 def test_updates_monotone_in_model_cost():
     """Fifty sweeps against random power never increase the divergence."""
     rng = np.random.default_rng(1)
-    power = rng.uniform(0.1, 4.0, size=(2, 8, 20))
+    power = rng.uniform(0.1, 4.0, size=(2, 8, 20)).transpose(1, 0, 2)  # (F, N, T)
     model = init_model(2, 3, 8, 20, seed=5)
     costs = [model_cost(power, variance(model))]
     for _ in range(50):
@@ -72,7 +73,7 @@ def test_updates_monotone_in_model_cost():
 
 def test_update_handles_zero_power():
     model = init_model(1, 2, 4, 6, seed=2)
-    r = nmf_update(model, np.zeros((1, 4, 6)))
+    r = nmf_update(model, np.zeros((4, 1, 6)))
     assert np.all(np.isfinite(r))
     assert np.all(r >= model.floor)
     assert np.all(model.bases > 0)
@@ -82,8 +83,8 @@ def test_update_handles_zero_power():
 def test_update_validates_input():
     model = init_model(1, 2, 4, 6, seed=3)
     with pytest.raises(ValueError):
-        nmf_update(model, np.zeros((1, 4, 5)))
-    bad = np.zeros((1, 4, 6))
+        nmf_update(model, np.zeros((4, 1, 5)))
+    bad = np.zeros((4, 1, 6))
     bad[0, 0, 0] = -1e-3
     with pytest.raises(ValueError):
         nmf_update(model, bad)
@@ -93,7 +94,16 @@ def test_factors_stay_nonnegative():
     rng = np.random.default_rng(4)
     model = init_model(2, 2, 6, 10, seed=6)
     for _ in range(10):
-        power = rng.uniform(0.0, 2.0, size=(2, 6, 10))
+        power = rng.uniform(0.0, 2.0, size=(2, 6, 10)).transpose(1, 0, 2)  # (F, N, T)
         nmf_update(model, power)
         assert np.all(model.bases > 0)
         assert np.all(model.activations > 0)
+
+
+def test_variances_share_the_outputs_layout():
+    """``variance`` and ``nmf_update`` return (F, N, T), the layout of ``run``'s outputs."""
+    spec = desk_spectrogram(13, n_samples=4000, n_sources=3)
+    outputs = run(AlgorithmVariant.ILRMA_ISS, spec, iterations=1).outputs.data
+    model = init_model(3, 2, spec.n_bins, spec.n_frames, seed=0)
+    assert variance(model).shape == outputs.shape
+    assert nmf_update(model, np.abs(outputs) ** 2).shape == outputs.shape

@@ -25,7 +25,7 @@ def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
     x = rng.standard_normal((n_bins, n_src, n_frames)) + 1j * rng.standard_normal(
         (n_bins, n_src, n_frames)
     )
-    variances = rng.uniform(0.5, 2.0, size=(n_src, n_bins, n_frames))
+    variances = rng.uniform(0.5, 2.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
     return x, variances
 
 
@@ -51,7 +51,7 @@ def test_ip_row_is_unit_norm_under_its_covariance():
     x, variances = random_instance(0)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     for n in range(2):
-        g = add_loading(weighted_cov(x, variances[n]))
+        g = add_loading(weighted_cov(x, variances[:, n]))
         ip_update_row(dm.matrix, g, n, 2)
         w = dm.matrix[:, n, :]
         q = np.einsum("fd,fde,fe->f", w, g, w.conj())
@@ -64,13 +64,13 @@ def test_ip_sweeps_decrease_cost_at_fixed_variances():
     n_bins, n_src, _ = x.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     outputs = dm.top @ x
-    values = [cost(dm, outputs, variances)]
+    values = [cost(dm, np.abs(outputs) ** 2, variances)]
     for _ in range(20):
-        covs = [add_loading(weighted_cov(x, variances[n])) for n in range(n_src)]
+        covs = [add_loading(weighted_cov(x, variances[:, n])) for n in range(n_src)]
         for n in range(n_src):
             ip_update_row(dm.matrix, covs[n], n, n_src)
         outputs = dm.top @ x
-        values.append(cost(dm, outputs, variances))
+        values.append(cost(dm, np.abs(outputs) ** 2, variances))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(np.asarray(values[:-1]))))
 
@@ -81,10 +81,10 @@ def test_ip_fixed_point_resists_row_perturbations():
     n_bins, n_src, _ = x.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     for _ in range(200):
-        covs = [add_loading(weighted_cov(x, variances[n])) for n in range(n_src)]
+        covs = [add_loading(weighted_cov(x, variances[:, n])) for n in range(n_src)]
         for n in range(n_src):
             ip_update_row(dm.matrix, covs[n], n, n_src)
-    base = cost(dm, dm.top @ x, variances)
+    base = cost(dm, np.abs(dm.top @ x) ** 2, variances)
     rng = np.random.default_rng(3)
     for _ in range(10):
         bump = 1e-4 * (
@@ -93,14 +93,14 @@ def test_ip_fixed_point_resists_row_perturbations():
         )
         trial = ExtendedDemixer(dm.matrix.copy(), n_src)
         trial.matrix[:, :n_src, :] += bump
-        assert cost(trial, trial.top @ x, variances) >= base - 1e-8
+        assert cost(trial, np.abs(trial.top @ x) ** 2, variances) >= base - 1e-8
 
 
 def test_ip_singular_block_raises():
     x, variances = random_instance(4)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     dm.matrix[1, :2, :2] = 0.0
-    g = add_loading(weighted_cov(x, variances[0]))
+    g = add_loading(weighted_cov(x, variances[:, 0]))
     with pytest.raises(NumericalError, match="frequency bin 1"):
         ip_update_row(dm.matrix, g, 0, 2)
 
@@ -119,9 +119,9 @@ def test_iss_self_gain_normalizes_pivot():
     n_bins, n_src, n_frames = x.shape
     matrix = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).matrix
     outputs = x.copy()
-    iss_update_source(matrix, outputs, variances, 0)
+    iss_update_source(matrix, outputs, 1.0 / variances, 0)
     weighted_power = np.einsum(
-        "ft,ft->f", np.abs(outputs[:, 0, :]) ** 2, 1.0 / variances[0]
+        "ft,ft->f", np.abs(outputs[:, 0, :]) ** 2, 1.0 / variances[:, 0]
     )
     assert np.allclose(weighted_power, n_frames, rtol=1e-10)
 
@@ -137,11 +137,11 @@ def test_iss_signal_form_matches_covariance_form():
     w += 2.0 * np.eye(n_src)
     outputs = w @ x
     for pivot in range(n_src):
-        got = iss_coefficients(outputs, variances, pivot)
+        got = iss_coefficients(outputs, 1.0 / variances, pivot)
         want = np.empty_like(got)
         for f in range(n_bins):
             for m in range(n_src):
-                g = weighted_cov(x[f : f + 1], variances[m, f : f + 1])[0]
+                g = weighted_cov(x[f : f + 1], variances[f : f + 1, m])[0]
                 num = w[f, m] @ g @ w[f, pivot].conj()
                 den = w[f, pivot] @ g @ w[f, pivot].conj()
                 if m == pivot:
@@ -158,7 +158,7 @@ def test_iss_sweep_keeps_outputs_consistent():
     matrix = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).matrix
     outputs = x.copy()
     for _ in range(5):
-        iss_source_sweep(matrix, outputs, variances)
+        iss_source_sweep(matrix, outputs, 1.0 / variances)
     fresh = matrix[:, :n_src, :] @ x
     assert np.abs(outputs - fresh).max() <= 1e-10
 
@@ -168,10 +168,10 @@ def test_iss_sweep_decreases_cost():
     n_bins, n_src, _ = x.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     outputs = x.copy()
-    values = [cost(dm, outputs, variances)]
+    values = [cost(dm, np.abs(outputs) ** 2, variances)]
     for _ in range(20):
-        iss_source_sweep(dm.matrix, outputs, variances)
-        values.append(cost(dm, outputs, variances))
+        iss_source_sweep(dm.matrix, outputs, 1.0 / variances)
+        values.append(cost(dm, np.abs(outputs) ** 2, variances))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(np.asarray(values[:-1]))))
 
@@ -181,7 +181,7 @@ def test_iss_zero_pivot_stays_finite():
     x[:, 1, :] = 0.0
     matrix = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1)).matrix
     outputs = x.copy()
-    iss_update_source(matrix, outputs, variances, 1)
+    iss_update_source(matrix, outputs, 1.0 / variances, 1)
     assert np.all(np.isfinite(matrix))
     assert np.all(np.isfinite(outputs))
 
@@ -196,7 +196,7 @@ def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):
     sx = build_stacked(spec, TapConfig(5, 2))
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(5, 2))
     dm.matrix[:, :n_src, :] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
-    variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames))
+    variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
     return spec, sx, dm, variances, demix(dm, sx).data
 
 
@@ -213,9 +213,9 @@ def test_normal_equation_builders_hold_one_operand_sized_temporary():
     """Peak allocation stays within 1.5x the (F, D, T) operand."""
     spec, sx, dm, variances, outputs = normal_equation_instance()
     past_bytes = sx.past.nbytes
-    joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, variances, outputs))
-    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, variances[0]))
-    wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[0], sx))
+    joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, 1.0 / variances, outputs))
+    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, variances[:, 0]))
+    wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[:, 0], sx))
     assert joint <= 1.5 * past_bytes
     assert cov <= 1.5 * sx.tilde.nbytes
     assert wpe <= 1.5 * past_bytes
@@ -225,12 +225,12 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     """Oracles: the weighted operand times the conjugated one, as written."""
     spec, sx, dm, variances, outputs = normal_equation_instance(seed=1)
     for vectors in (sx.tilde, sx.past):  # contiguous and strided
-        inv = 1.0 / variances[0]
+        inv = 1.0 / variances[:, 0]
         want = (vectors * inv[:, None, :]) @ vectors.conj().swapaxes(1, 2) / vectors.shape[2]
-        assert np.array_equal(weighted_cov(vectors, variances[0]), want)
+        assert np.array_equal(weighted_cov(vectors, variances[:, 0]), want)
 
     past, n = sx.past, dm.n_channels
-    inv = 1.0 / variances.transpose(1, 0, 2)
+    inv = 1.0 / variances
     weighted = past[:, None, :, :] * inv[:, :, None, :]  # (F, N, NL, T)
     normal = weighted @ past.conj().swapaxes(1, 2)[:, None, :, :]
     corr = np.einsum("fmt,fjt->fmj", outputs * inv, past.conj())
@@ -238,13 +238,13 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     want_matrix = dm.matrix.copy()
     want_matrix[:, :n, n:] -= gains
     want_outputs = outputs - gains @ past
-    _joint_tap_update(dm, sx, variances, outputs)
+    _joint_tap_update(dm, sx, inv, outputs)
     assert np.array_equal(dm.matrix, want_matrix)
     assert np.array_equal(outputs, want_outputs)
 
-    inv = 1.0 / variances[0]
+    inv = 1.0 / variances[:, 0]
     weighted = past * inv[:, None, :]
     normal = weighted @ past.conj().swapaxes(1, 2)
     rhs = weighted @ spec.data.conj().swapaxes(1, 2)
     want = checked_solve(add_loading(normal), rhs, "oracle").conj().swapaxes(1, 2)
-    assert np.array_equal(wpe_filter_update(variances[0], sx), want)
+    assert np.array_equal(wpe_filter_update(variances[:, 0], sx), want)

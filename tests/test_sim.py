@@ -110,6 +110,28 @@ def test_direct_path_overrides_become_tuples():
     assert cfg.direct_gains == ((1.0, 0.5), (1, 2.0))
 
 
+@pytest.mark.parametrize(
+    "n_samples, overrides, message",
+    [
+        (4000, {"direct_delays": ((0, 5000), (0, 0))}, r"direct_delays: direct delay 5000 of source 0 at mic 1 .*4000 samples"),
+        (4000, {"direct_delays": ((0, 4000), (0, 0))}, r"direct_delays: direct delay 4000 of source 0 at mic 1 .*4000 samples"),
+        (8, {}, r"max_direct_delay: direct delay 11 of source 1 at mic 1 .*8 samples"),
+    ],
+    ids=["given-past-the-end", "given-at-the-end", "drawn"],
+)
+def test_mix_rejects_a_direct_delay_reaching_the_signal_length(n_samples, overrides, message):
+    cfg = SyntheticRoomConfig(2, sample_rate=FS, max_direct_delay=12, **overrides)
+    with pytest.raises(ValueError, match=message):
+        mix(make_sources(2, n_samples, FS, seed=0), cfg)
+
+
+def test_mix_accepts_the_longest_direct_delay():
+    cfg = SyntheticRoomConfig(2, sample_rate=FS, rt60=0.0, direct_delays=((0, 3999), (0, 0)))
+    res = mix(make_sources(2, 4000, FS, seed=0), cfg)
+    assert np.flatnonzero(res.direct_images[0, 1]).tolist() == [3999]
+    assert res.direct_images[0, 1, 3999] == res.direct_images[0, 0, 0] * make_rir(cfg, 0, 1)[3999]
+
+
 def test_mixture_identity_and_unit_image_power():
     sources = make_sources(2, 12000, FS, seed=1)
     cfg = SyntheticRoomConfig(2, sample_rate=FS, rt60=0.2, snr=100.0, seed=1)
