@@ -49,12 +49,11 @@ class RunConfig:
             if type(value) is not type(f.default):
                 raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         AlgorithmVariant.from_name(self.variant)
-        if self.iterations < 0:
-            raise ConfigError("iterations must be non-negative")
+        for name in ("iterations", "seed", "wpe_init_iters"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.n_bases < 1:
             raise ConfigError("n_bases must be positive")
-        if self.wpe_init_iters < 0:
-            raise ConfigError("wpe_init_iters must be non-negative")
         try:
             StftConfig(self.frame_len, self.hop)
             TapConfig(self.taps, self.delay)
@@ -135,16 +134,16 @@ def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     data = dict(data)
+    duration = data.pop("duration", 4.0)
+    if type(duration) not in (int, float) or not 0 < duration < np.inf:
+        raise ConfigError(f"duration must be a positive finite number, got {duration!r}")
     try:
-        duration = float(data.pop("duration", 4.0))
-        if not 0 < duration < np.inf:
-            raise ConfigError(f"duration must be positive and finite, got {duration!r}")
         if isinstance(data.get("snr"), str):
             try:
                 data["snr"] = float(data["snr"])
             except ValueError:
                 raise ConfigError(f"snr must be a number or 'inf', got {data['snr']!r}") from None
-        return SyntheticRoomConfig(**data), duration
+        return SyntheticRoomConfig(**data), float(duration)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -479,8 +478,13 @@ def _config_from_args(args: argparse.Namespace, names: list[str]) -> dict:
     return data | {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line, like every other exit-2 failure
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drbss",
         description="Joint dereverberation and blind source separation, batch style.",
     )
@@ -536,8 +540,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"drbss: i/o failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError) as exc:
-        print(f"drbss: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, MemoryError) as exc:  # a size too large to allocate is a bad config
+        print(f"drbss: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

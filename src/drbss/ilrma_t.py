@@ -104,24 +104,21 @@ def cost(dm: ExtendedDemixer, power: np.ndarray, variances: np.ndarray) -> float
 def ilrma_t_ip_iteration(
     dm: ExtendedDemixer,
     sx: StackedObservation,
-    variances: np.ndarray,
-    outputs: np.ndarray | None = None,
+    inv: np.ndarray,
+    outputs: np.ndarray,
     counter: SolveCounter | None = None,
-) -> np.ndarray:
+) -> None:
     """One iterative-projection sweep over all free rows.
 
-    The weighted covariances are fixed for the whole sweep (the
-    variances do not move here), each row update re-reads the current
-    separation block, and the outputs are recomputed at the end.
+    The covariances, weighted by ``inv``, are fixed for the whole sweep;
+    each row update re-reads the current separation block, and the
+    outputs are rewritten in place at the end.
     """
-    del outputs  # recomputed from scratch below
     tilde = sx.tilde
-    covs = [
-        add_loading(weighted_cov(tilde, variances[:, n])) for n in range(dm.n_channels)
-    ]
+    covs = [add_loading(weighted_cov(tilde, inv[:, n])) for n in range(dm.n_channels)]
     for n in range(dm.n_channels):
         ip_update_row(dm.matrix, covs[n], n, dm.n_channels, counter)
-    return dm.top @ tilde
+    np.matmul(dm.top, tilde, out=outputs)
 
 
 def _steering_sweep_over_taps(
@@ -174,40 +171,36 @@ def _joint_tap_update(
 def ilrma_t_iss_seq_iteration(
     dm: ExtendedDemixer,
     sx: StackedObservation,
-    variances: np.ndarray,
+    inv: np.ndarray,
     outputs: np.ndarray,
     counter: SolveCounter | None = None,
-) -> np.ndarray:
-    """Source-steering sweep, then scalar sweeps over every tap column."""
-    inv = 1.0 / variances
+) -> None:
+    """Source-steering sweep, then scalar sweeps over every tap column, in place."""
     iss_source_sweep(dm.matrix, outputs, inv)
     _steering_sweep_over_taps(dm, sx, inv, outputs)
-    return outputs
 
 
 def ilrma_t_iss_joint_iteration(
     dm: ExtendedDemixer,
     sx: StackedObservation,
-    variances: np.ndarray,
+    inv: np.ndarray,
     outputs: np.ndarray,
     counter: SolveCounter | None = None,
-) -> np.ndarray:
-    """Source-steering sweep, then one exact block solve per tap row."""
-    inv = 1.0 / variances
+) -> None:
+    """Source-steering sweep, then one exact block solve per tap row, in place."""
     iss_source_sweep(dm.matrix, outputs, inv)
     _joint_tap_update(dm, sx, inv, outputs, counter)
-    return outputs
 
 
 @dataclass(frozen=True)
 class VariantSpec:
     """Everything that tells one variant apart from the others.
 
-    ``step`` is the filter update per iteration (None for plain
-    dereverberation), ``tapped`` whether the filter carries prediction
-    taps, ``wpe_first`` whether a dereverberation pass runs before
-    separation, and ``solve_law(n_sources)`` the dense solves per
-    frequency bin per iteration.
+    ``step(dm, sx, inv, outputs, counter)`` updates ``outputs`` in place
+    each iteration (None for plain dereverberation), ``tapped`` whether
+    the filter carries prediction taps, ``wpe_first`` whether a
+    dereverberation pass runs before separation, and
+    ``solve_law(n_sources)`` the dense solves per frequency bin per iteration.
     """
 
     step: Callable | None
@@ -263,8 +256,9 @@ def run(
 ) -> RunResult:
     """Run one algorithm end to end on an observed spectrogram.
 
-    Every iteration performs the variant's filter updates, then one
-    multiplicative sweep of the variance model, and appends the
+    Every iteration hands ``1 / variances`` to the variant's filter
+    update, which rewrites the outputs in place, then runs one
+    multiplicative sweep of the variance model and appends the
     objective. The final outputs are rescaled by projection back onto
     the first channel (skipped for a zero-iteration run, which returns
     the input unchanged, and for plain dereverberation).
@@ -298,10 +292,10 @@ def run(
         callback(0, outputs, dm)
     for i in range(iterations):
         started = time.perf_counter()
-        outputs = step(dm, sx, variances, outputs, counter)
+        step(dm, sx, 1.0 / variances, outputs, counter)
         dm.assert_structure()
         power = np.abs(outputs) ** 2
-        variances = nmf_update(model, power)
+        variances = nmf_update(model, power, variances)
         trace.record(cost(dm, power, variances), counter.iteration_solves, started)
         del power  # not held through the next step, where an iteration peaks in memory
         if callback is not None:

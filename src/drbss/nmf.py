@@ -49,15 +49,17 @@ def variance(model: NmfVarianceModel) -> np.ndarray:
     return np.maximum(r, model.floor)
 
 
-def nmf_update(model: NmfVarianceModel, power: np.ndarray) -> np.ndarray:
+def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """One multiplicative sweep (bases, then activations) against ``power``.
 
-    ``power`` is the output power |y|^2 with shape (F, N, T). The
-    variances are refreshed between the two half-updates; the refreshed
-    (F, N, T) variance tensor is returned.
+    ``power`` is the output power |y|^2 and ``variances`` the model's
+    current ``variance(model)``, both (F, N, T). The model is evaluated
+    once after each half-update; the second, refreshed variances are
+    returned.
     """
-    if power.shape != (model.bases.shape[2], model.n_sources, model.activations.shape[1]):
-        raise ValueError("power tensor shape does not match the model")
+    shape = (model.bases.shape[2], model.n_sources, model.activations.shape[1])
+    if power.shape != shape or variances.shape != shape:
+        raise ValueError("power and variance tensor shapes do not match the model")
     if np.any(power < 0):
         raise ValueError("power tensor must be nonnegative")
 
@@ -65,13 +67,12 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray) -> np.ndarray:
         (model.bases, model.activations, "ntk,fnt->nkf"),
         (model.activations, model.bases, "nkf,fnt->ntk"),
     ):
-        r = variance(model)
-        num = np.einsum(subscripts, other, power / (r * r))
-        den = np.einsum(subscripts, other, 1.0 / r)
+        num = np.einsum(subscripts, other, power / (variances * variances))
+        den = np.einsum(subscripts, other, 1.0 / variances)
         factor *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
         np.maximum(factor, FACTOR_FLOOR, out=factor)
-
-    return variance(model)
+        variances = variance(model)
+    return variances
 
 
 def model_cost(power: np.ndarray, variances: np.ndarray) -> float:

@@ -26,15 +26,15 @@ def weighted_gram(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.conj(weighted @ vectors.swapaxes(1, 2))
 
 
-def weighted_cov(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Frame-averaged covariance sum_t v v^H / w, shape (F, D, D).
+def weighted_cov(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Frame-averaged covariance sum_t inv v v^H / T, shape (F, D, D).
 
-    ``vectors`` is (F, D, T); ``weights`` is a positive (F, T) variance
-    track. The result is divided by the frame count.
+    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) inverse-variance
+    track 1 / r, as for ``weighted_gram``.
     """
     if vectors.shape[2] == 0:
         raise ValueError("cannot average a covariance over zero frames")
-    return weighted_gram(vectors, 1.0 / weights) / vectors.shape[2]
+    return weighted_gram(vectors, inv) / vectors.shape[2]
 
 
 def ip_update_row(
@@ -56,9 +56,8 @@ def ip_update_row(
     n = n_channels
     rhs = np.zeros((n, 1), dtype=np.complex128)
     rhs[row, 0] = 1.0
-    a = checked_solve(matrix[:, :n, :n], rhs, "separation block", counter)[..., 0]
-    if dim > n:
-        a = np.concatenate([a, np.zeros((n_bins, dim - n), dtype=np.complex128)], axis=1)
+    a = np.zeros((n_bins, dim), dtype=np.complex128)  # zero over the tap columns
+    a[:, :n] = checked_solve(matrix[:, :n, :n], rhs, "separation block", counter)[..., 0]
     u = checked_solve(cov, a[..., None], "weighted covariance", counter)[..., 0]
     scale = np.einsum("fd,fd->f", a.conj(), u).real
     if np.any(scale <= 0) or not np.all(np.isfinite(scale)):

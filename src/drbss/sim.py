@@ -43,8 +43,8 @@ class SyntheticRoomConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_sources", "sample_rate", "seed", "max_direct_delay"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be int, got {getattr(self, name)!r}")
+            if type(getattr(self, name)) is not int or getattr(self, name) < 0:
+                raise ValueError(f"{name} must be a non-negative int, got {getattr(self, name)!r}")
         for name in ("rt60", "snr", "tail_gain"):
             if type(getattr(self, name)) not in (int, float):
                 raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -56,8 +56,6 @@ class SyntheticRoomConfig:
             raise ValueError(f"rt60 must be finite and non-negative, got {self.rt60!r}")
         if not self.snr > 0:
             raise ValueError("snr must be positive (may be inf)")
-        if self.max_direct_delay < 0:
-            raise ValueError("max_direct_delay must be non-negative")
         if not 0 <= self.tail_gain < np.inf:
             raise ValueError(f"tail_gain must be finite and non-negative, got {self.tail_gain!r}")
         n = self.n_sources

@@ -74,11 +74,12 @@ def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
     """Hold a spectrogram with its lags; delayed rows are views of one padded copy."""
     if spec.n_frames == 0:
         raise ValueError("spectrogram has no frames")
+    last = taps.delay + taps.taps - 1 if taps.taps else 0  # checked before any lag is built
+    if last >= spec.n_frames:
+        reach = f"delay {taps.delay} with {taps.taps} taps reaches lag {last}"
+        raise ValueError(f"{reach}, beyond the {spec.n_frames} frames")
     lags = (0, *range(taps.delay, taps.delay + taps.taps))
-    if lags[-1] >= spec.n_frames:
-        last = f"delay {taps.delay} with {taps.taps} taps reaches lag {lags[-1]}"
-        raise ValueError(f"{last}, beyond the {spec.n_frames} frames")
-    padded = np.pad(spec.data, ((0, 0), (0, 0), (lags[-1], 0))) if lags[-1] else spec.data
+    padded = np.pad(spec.data, ((0, 0), (0, 0), (last, 0))) if last else spec.data
     return StackedObservation(spec, lags, padded)
 
 

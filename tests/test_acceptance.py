@@ -179,7 +179,7 @@ def test_criterion_06_steering_gain_forms_agree(case_seed):
         want = np.empty_like(got)
         for f in range(n_bins):
             for m in range(n_src):
-                g = weighted_cov(x[f : f + 1], variances[f : f + 1, m])[0]
+                g = weighted_cov(x[f : f + 1], 1.0 / variances[f : f + 1, m])[0]
                 num = w[f, m] @ g @ w[f, pivot].conj()
                 den = w[f, pivot] @ g @ w[f, pivot].conj()
                 if m == pivot:
@@ -263,10 +263,11 @@ def test_criterion_09_stationarity_at_convergence():
     variances = variance(model)
     outputs = spec.data.copy()
     for _ in range(150):
-        outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
-        variances = nmf_update(model, np.abs(outputs) ** 2)
+        ilrma_t_iss_seq_iteration(dm, sx, 1.0 / variances, outputs)
+        variances = nmf_update(model, np.abs(outputs) ** 2, variances)
+    inv = 1.0 / variances
     for _ in range(1000):
-        outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
+        ilrma_t_iss_seq_iteration(dm, sx, inv, outputs)
 
     rng = np.random.default_rng(2024)
     step = 1e-5

@@ -470,3 +470,100 @@ def test_cli_surface_is_pinned(tmp_path, capsys):
     code = main(["separate", str(tmp_path / "x.wav"), "--out", str(tmp_path / "o"), "--config", str(old_cfg)])
     assert code == 2
     assert "unknown config keys: reference" in capsys.readouterr().err
+
+
+# Bad values for every ``simulate`` and ``separate`` flag and every bench
+# matrix key: (argv or matrix, text the one stderr line must contain, with
+# dashes read as underscores so a flag matches its key).
+# Large sizes are far past any machine's memory, so their first allocation
+# fails at once. ``--out`` and a missing input file are I/O failures (exit 4).
+BIG = "1000000000000"
+FUZZ_SIMULATE = [
+    *((["--n-sources", v], "n_sources") for v in ("0", "-1", "5", "x", BIG)),
+    *((["--sample-rate", v], "sample_rate") for v in ("0", "-8000", "8000.5")),
+    (["--sample-rate", BIG], "allocate"),
+    *((["--rt60", v], "rt60") for v in ("-1", "inf", "nan", "x")),
+    (["--rt60", "1e12"], "allocate"),
+    *((["--snr", v], "snr") for v in ("0", "-1", "nan", "x")),
+    *((["--seed", v], "seed") for v in ("-1", "x", "1.5")),
+    *((["--duration", v], "duration") for v in ("0", "-1", "inf", "nan", "x")),
+    (["--duration", "1e12"], "allocate"),
+    *((["--tail-gain", v], "tail_gain") for v in ("-1", "inf", "nan", "x")),
+    *((["--max-direct-delay", v], "max_direct_delay") for v in ("-1", "x", BIG)),
+]
+FUZZ_SEPARATE = [
+    (["--variant", "bogus"], "variant"),
+    *((["--iterations", v], "iterations") for v in ("-1", "x", "1.5")),
+    *((["--taps", v], "taps") for v in ("-1", "x", BIG)),
+    *((["--delay", v], "delay") for v in ("0", "-1", "x", BIG)),
+    *((["--n-bases", v], "n_bases") for v in ("0", "-1", "x")),
+    (["--n-bases", BIG], "allocate"),
+    *((["--frame-len", v], "frame_len") for v in ("0", "-256", "300", "x")),
+    (["--frame-len", str(2**40)], "shorter than one frame"),
+    *((["--hop", v], "hop") for v in ("0", "-1", "100", "x", BIG)),
+    *((["--seed", v], "seed") for v in ("-1", "x")),
+    *((["--wpe-init-iters", v], "wpe_init_iters") for v in ("-1", "x")),
+]
+FUZZ_BENCH = [
+    *(({"variants": v}, "variant") for v in ("ilrma-ip", [], ["bogus"], None)),
+    *(({"n_sources": v}, "n_sources") for v in (2, [], None)),
+    *(({"seeds": v}, "seed") for v in (0, [], [-1], ["a"], [1.5])),
+    *(({"iterations": v}, "iterations") for v in (-1, "3", 1.5)),
+    *(({"metric_every": v}, "metric_every") for v in (0, -1, "2")),
+    *(({"duration": v}, "duration") for v in (0, -1, float("inf"), float("nan"), None, "x")),
+    *(({"sample_rate": v}, "sample_rate") for v in (0, -1, 8000.5, "x")),
+    *(({"frame_len": v}, "frame_len") for v in (0, 300, "x")),
+    *(({"hop": v}, "hop") for v in (0, 100, "x")),
+    *(({"taps": v}, "taps") for v in (-1, "x")),
+    *(({"delay": v}, "delay") for v in (0, -1)),
+    *(({"n_bases": v}, "n_bases") for v in (0, -1, "x")),
+    *(({"wpe_init_iters": v}, "wpe_init_iters") for v in (-1, "x")),
+    *(({"rt60": v}, "rt60") for v in (-1, float("inf"), float("nan"), "x")),
+    *(({"snr": v}, "snr") for v in (0, -1, "x", True)),
+    *(({"tail_gain": v}, "tail_gain") for v in (-1, float("inf"), None)),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_wav(root / "mix.wav", FS, 0.1 * np.random.default_rng(0).standard_normal((2, 4000)))
+    write_wav(root / "mono.wav", FS, np.zeros(4000))
+    write_wav(root / "empty.wav", FS, np.zeros(0))
+    (root / "list.json").write_text("[1]")
+    (root / "broken.json").write_text("{")
+    return root
+
+
+@pytest.mark.parametrize(
+    "command, bad, text",
+    [("simulate", argv, text) for argv, text in FUZZ_SIMULATE]
+    + [("separate", ["{root}/mix.wav", *argv], text) for argv, text in FUZZ_SEPARATE]
+    + [("bench", matrix, text) for matrix, text in FUZZ_BENCH]
+    + [
+        ("simulate", ["--wav", "{root}/empty.wav", "--wav", "{root}/empty.wav"], "empty.wav"),
+        ("simulate", ["--n-sources", "2", "--wav", "{root}/mono.wav"], "expected 2 source WAVs"),
+        ("separate", ["{root}/empty.wav"], "empty.wav"),
+    ]
+    + [(cmd, [*mix, "--config", f"{{root}}/{name}.json"], name)
+       for cmd, mix in (("simulate", []), ("separate", ["{root}/mix.wav"])) for name in ("list", "broken")],
+)
+def test_every_bad_flag_or_matrix_value_exits_2_with_one_line(tmp_path, capsys, fuzz_inputs, command, bad, text):
+    out = tmp_path / "out"
+    if command == "bench":
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"variants": ["ilrma-ip"]} | bad))
+        argv = ["bench", str(matrix)]
+    else:  # later flags override the short, low-rate default room
+        room = ["--sample-rate", str(FS), "--duration", "0.5"] if command == "simulate" else []
+        argv = [command, *room, *(a.replace("{root}", str(fuzz_inputs)) for a in bad)]
+    capsys.readouterr()
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exc:  # argparse's own errors exit from inside ``main``
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.count("\n") == 1, err
+    assert text in err.replace("-", "_")
+    assert not out.exists()

@@ -16,6 +16,8 @@ from drbss import (
     analyze,
     build_stacked,
     cost,
+    ilrma_t_ip_iteration,
+    ilrma_t_iss_joint_iteration,
     ilrma_t_iss_seq_iteration,
     init_model,
     nmf_update,
@@ -23,6 +25,7 @@ from drbss import (
     run,
     variance,
 )
+from drbss import ilrma_t, nmf
 from tests.conftest import FS, TAPPED_VARIANTS, desk_mixture, desk_spectrogram
 
 SMALL_TAPS = TapConfig(2, 2)
@@ -261,18 +264,41 @@ def test_run_wpe_initialized_variants_count_both_stages():
 
 
 def test_maintained_outputs_match_fresh_demix():
+    """Every step updates the outputs in place, consistent with a fresh demix, and returns None."""
     spec = small_spec(10)
     sx = build_stacked(spec, SMALL_TAPS)
     n = spec.n_channels
-    dm = ExtendedDemixer.identity(spec.n_bins, n, SMALL_TAPS)
-    model = init_model(n, 2, spec.n_bins, spec.n_frames, seed=10)
-    variances = variance(model)
-    outputs = spec.data.copy()
-    for _ in range(5):
-        outputs = ilrma_t_iss_seq_iteration(dm, sx, variances, outputs)
-        variances = nmf_update(model, np.abs(outputs) ** 2)
-    fresh = dm.top @ sx.tilde
-    assert np.abs(outputs - fresh).max() <= 1e-10
+    for step in (ilrma_t_ip_iteration, ilrma_t_iss_joint_iteration, ilrma_t_iss_seq_iteration):
+        dm = ExtendedDemixer.identity(spec.n_bins, n, SMALL_TAPS)
+        model = init_model(n, 2, spec.n_bins, spec.n_frames, seed=10)
+        variances = variance(model)
+        outputs = spec.data.copy()
+        buffer = outputs
+        for _ in range(5):
+            assert step(dm, sx, 1.0 / variances, outputs, SolveCounter()) is None
+            assert outputs is buffer
+            fresh = dm.top @ sx.tilde
+            assert np.abs(outputs - fresh).max() <= 1e-10, step.__name__
+            variances = nmf_update(model, np.abs(outputs) ** 2, variances)
+
+
+def test_run_evaluates_the_variance_model_once_per_state(monkeypatch):
+    """One ``variance`` for the initial model, then one after each NMF half-update."""
+    calls = []
+    original = nmf.variance
+
+    def counted(model):
+        calls.append(1)
+        return original(model)
+
+    monkeypatch.setattr(nmf, "variance", counted)
+    monkeypatch.setattr(ilrma_t, "variance", counted)
+    spec = small_spec(14)
+    for variant in (AlgorithmVariant.ILRMA_IP, AlgorithmVariant.ILRMA_T_ISS_SEQ):
+        for iterations in (0, 1, 4):
+            calls.clear()
+            run(variant, spec, iterations=iterations, taps=SMALL_TAPS)
+            assert len(calls) == 1 + 2 * iterations, (variant, iterations)
 
 
 def test_run_rejects_bad_arguments():

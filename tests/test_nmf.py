@@ -51,7 +51,7 @@ def test_exact_rank_one_fit_is_a_fixed_point():
     acts = rng.uniform(0.5, 2.0, size=(2, 9, 1))
     model = NmfVarianceModel(bases.copy(), acts.copy())
     power = variance(model).copy()
-    r = nmf_update(model, power)
+    r = nmf_update(model, power, variance(model))
     assert np.allclose(model.bases, bases, rtol=1e-12)
     assert np.allclose(model.activations, acts, rtol=1e-12)
     assert np.allclose(r, power, rtol=1e-12)
@@ -62,9 +62,10 @@ def test_updates_monotone_in_model_cost():
     rng = np.random.default_rng(1)
     power = rng.uniform(0.1, 4.0, size=(2, 8, 20)).transpose(1, 0, 2)  # (F, N, T)
     model = init_model(2, 3, 8, 20, seed=5)
-    costs = [model_cost(power, variance(model))]
+    r = variance(model)
+    costs = [model_cost(power, r)]
     for _ in range(50):
-        r = nmf_update(model, power)
+        r = nmf_update(model, power, r)
         costs.append(model_cost(power, r))
     diffs = np.diff(costs)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(costs[:-1])))
@@ -73,7 +74,7 @@ def test_updates_monotone_in_model_cost():
 
 def test_update_handles_zero_power():
     model = init_model(1, 2, 4, 6, seed=2)
-    r = nmf_update(model, np.zeros((4, 1, 6)))
+    r = nmf_update(model, np.zeros((4, 1, 6)), variance(model))
     assert np.all(np.isfinite(r))
     assert np.all(r >= model.floor)
     assert np.all(model.bases > 0)
@@ -83,11 +84,13 @@ def test_update_handles_zero_power():
 def test_update_validates_input():
     model = init_model(1, 2, 4, 6, seed=3)
     with pytest.raises(ValueError):
-        nmf_update(model, np.zeros((4, 1, 5)))
+        nmf_update(model, np.zeros((4, 1, 5)), variance(model))
+    with pytest.raises(ValueError):
+        nmf_update(model, np.zeros((4, 1, 6)), np.ones((4, 1, 5)))
     bad = np.zeros((4, 1, 6))
     bad[0, 0, 0] = -1e-3
     with pytest.raises(ValueError):
-        nmf_update(model, bad)
+        nmf_update(model, bad, variance(model))
 
 
 def test_factors_stay_nonnegative():
@@ -95,7 +98,7 @@ def test_factors_stay_nonnegative():
     model = init_model(2, 2, 6, 10, seed=6)
     for _ in range(10):
         power = rng.uniform(0.0, 2.0, size=(2, 6, 10)).transpose(1, 0, 2)  # (F, N, T)
-        nmf_update(model, power)
+        nmf_update(model, power, variance(model))
         assert np.all(model.bases > 0)
         assert np.all(model.activations > 0)
 
@@ -106,4 +109,4 @@ def test_variances_share_the_outputs_layout():
     outputs = run(AlgorithmVariant.ILRMA_ISS, spec, iterations=1).outputs.data
     model = init_model(3, 2, spec.n_bins, spec.n_frames, seed=0)
     assert variance(model).shape == outputs.shape
-    assert nmf_update(model, np.abs(outputs) ** 2).shape == outputs.shape
+    assert nmf_update(model, np.abs(outputs) ** 2, variance(model)).shape == outputs.shape

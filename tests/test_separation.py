@@ -32,7 +32,7 @@ def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
 def test_weighted_cov_oracle():
     v = np.array([[[1.0 + 0j, 2.0], [1j, 0.0]]])  # (1, 2, 2)
     w = np.array([[1.0, 2.0]])
-    got = weighted_cov(v, w)
+    got = weighted_cov(v, 1.0 / w)
     want = (
         np.outer(v[0, :, 0], v[0, :, 0].conj()) / 1.0
         + np.outer(v[0, :, 1], v[0, :, 1].conj()) / 2.0
@@ -51,7 +51,7 @@ def test_ip_row_is_unit_norm_under_its_covariance():
     x, variances = random_instance(0)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     for n in range(2):
-        g = add_loading(weighted_cov(x, variances[:, n]))
+        g = add_loading(weighted_cov(x, 1.0 / variances[:, n]))
         ip_update_row(dm.matrix, g, n, 2)
         w = dm.matrix[:, n, :]
         q = np.einsum("fd,fde,fe->f", w, g, w.conj())
@@ -66,7 +66,7 @@ def test_ip_sweeps_decrease_cost_at_fixed_variances():
     outputs = dm.top @ x
     values = [cost(dm, np.abs(outputs) ** 2, variances)]
     for _ in range(20):
-        covs = [add_loading(weighted_cov(x, variances[:, n])) for n in range(n_src)]
+        covs = [add_loading(weighted_cov(x, 1.0 / variances[:, n])) for n in range(n_src)]
         for n in range(n_src):
             ip_update_row(dm.matrix, covs[n], n, n_src)
         outputs = dm.top @ x
@@ -81,7 +81,7 @@ def test_ip_fixed_point_resists_row_perturbations():
     n_bins, n_src, _ = x.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     for _ in range(200):
-        covs = [add_loading(weighted_cov(x, variances[:, n])) for n in range(n_src)]
+        covs = [add_loading(weighted_cov(x, 1.0 / variances[:, n])) for n in range(n_src)]
         for n in range(n_src):
             ip_update_row(dm.matrix, covs[n], n, n_src)
     base = cost(dm, np.abs(dm.top @ x) ** 2, variances)
@@ -100,7 +100,7 @@ def test_ip_singular_block_raises():
     x, variances = random_instance(4)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     dm.matrix[1, :2, :2] = 0.0
-    g = add_loading(weighted_cov(x, variances[:, 0]))
+    g = add_loading(weighted_cov(x, 1.0 / variances[:, 0]))
     with pytest.raises(NumericalError, match="frequency bin 1"):
         ip_update_row(dm.matrix, g, 0, 2)
 
@@ -141,7 +141,7 @@ def test_iss_signal_form_matches_covariance_form():
         want = np.empty_like(got)
         for f in range(n_bins):
             for m in range(n_src):
-                g = weighted_cov(x[f : f + 1], variances[f : f + 1, m])[0]
+                g = weighted_cov(x[f : f + 1], 1.0 / variances[f : f + 1, m])[0]
                 num = w[f, m] @ g @ w[f, pivot].conj()
                 den = w[f, pivot] @ g @ w[f, pivot].conj()
                 if m == pivot:
@@ -214,7 +214,7 @@ def test_normal_equation_builders_hold_one_operand_sized_temporary():
     spec, sx, dm, variances, outputs = normal_equation_instance()
     past_bytes = sx.past.nbytes
     joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, 1.0 / variances, outputs))
-    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, variances[:, 0]))
+    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, 1.0 / variances[:, 0]))
     wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[:, 0], sx))
     assert joint <= 1.5 * past_bytes
     assert cov <= 1.5 * sx.tilde.nbytes
@@ -227,7 +227,7 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     for vectors in (sx.tilde, sx.past):  # contiguous and strided
         inv = 1.0 / variances[:, 0]
         want = (vectors * inv[:, None, :]) @ vectors.conj().swapaxes(1, 2) / vectors.shape[2]
-        assert np.array_equal(weighted_cov(vectors, variances[:, 0]), want)
+        assert np.array_equal(weighted_cov(vectors, inv), want)
 
     past, n = sx.past, dm.n_channels
     inv = 1.0 / variances
