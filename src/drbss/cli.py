@@ -404,6 +404,8 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
                 }
             )
         return rows
+    except MemoryError:  # a room too large to allocate is a bad matrix: exit 2, not a failed cell
+        raise
     except Exception as exc:  # failed cells are recorded, the sweep continues
         return [base | {"iteration": "", "cost": "", "delta_si_sdr": "", "status": f"error:{type(exc).__name__}: {exc}"}]
 
@@ -519,9 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             data = _config_from_args(args, [name for name, _, _ in _ROOM_FLAGS])
             data.setdefault("n_sources", len(args.wav) if args.wav else 2)
@@ -534,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
             cmd_eval(args.refs, args.estimates, args.mode, args.out, args.mixture)
         elif args.command == "bench":
             cmd_bench(args.matrix, args.out)
+    except SystemExit as exc:  # argparse's one-line errors (status 2) and --help (status 0)
+        return exc.code
     except NumericalError as exc:
         print(f"drbss: numerical failure: {exc}", file=sys.stderr)
         return 3

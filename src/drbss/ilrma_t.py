@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import NumericalError, SolveCounter, add_loading, checked_solve
+from .linalg import NumericalError, SolveCounter, add_loading, checked_solve, over_bins
 from .nmf import init_model, model_cost, nmf_update, variance
 from .separation import ip_update_row, iss_source_sweep, steering_gains, weighted_cov, weighted_gram
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
@@ -135,11 +135,20 @@ def _steering_sweep_over_taps(
     of the free rows moves, so the determinant never does.
     """
     n = dm.n_channels
-    for k in range(n, sx.dim):
-        tap = sx.row(k)
-        gains, _ = steering_gains(outputs, inv, tap)
-        dm.matrix[:, :n, k] -= gains
-        outputs -= gains[:, :, None] * tap[:, None, :]
+    if sx.dim == n:
+        return
+
+    def sweep(top, padded, inv, outputs):  # one bin block; every lag reads its hoisted conj and power
+        conj, power = padded.conj(), np.abs(padded) ** 2
+        work = np.empty_like(outputs)
+        for k in range(n, sx.dim):
+            weighted = np.multiply(outputs, inv, out=work)
+            gains, _ = steering_gains(weighted, inv, sx.row(k, conj), sx.row(k, power))
+            top[:, :, k] -= gains
+            outputs -= np.multiply(gains[:, :, None], sx.row(k, padded)[:, None, :], out=work)
+
+    # it touches padded, conj and power, and outputs, work and inv
+    over_bins(sweep, dm.n_bins, 5 * (sx.padded.nbytes + outputs.nbytes) // 2, dm.top, sx.padded, inv, outputs)
 
 
 def _joint_tap_update(

@@ -7,6 +7,8 @@ matrices, and the solve bookkeeping used to audit per-iteration costs.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,20 @@ DIAGONAL_LOADING = 1e-10
 # Lower bound for the scalar denominators of rank-1 updates.
 DENOMINATOR_GUARD = 1e-10
 
+# Bytes one bin block may touch (near L2), and the threads sharing a call's
+# blocks: the caller and a pool, which starts its threads on first use.
+BLOCK_BYTES = 2 << 20
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    global _pool  # also in a forked child, which inherits the pool but none of its threads
+    _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="drbss-bins")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 class NumericalError(RuntimeError):
     """A linear solve or an objective evaluation went numerically bad."""
@@ -84,3 +100,27 @@ def checked_solve(
         else:
             counter.count(n_systems)
     return out
+
+
+def over_bins(kernel, n_bins: int, working_bytes: int, *arrays: np.ndarray) -> None:
+    """Run ``kernel(*blocks)`` over contiguous slices of the leading (bin) axis of ``arrays``.
+
+    Inline unless the ``working_bytes`` the kernel touches fill two ``BLOCK_BYTES`` blocks
+    per worker; then in equal blocks, a multiple of ``WORKERS`` of them, every ``WORKERS``-th
+    on the caller and the rest on the pool. A per-bin kernel is bit-identical for any split.
+    Every block ends before an exception is re-raised.
+    """
+    n_blocks = min(n_bins, -(-working_bytes // BLOCK_BYTES))
+    if n_blocks < 2 * WORKERS:  # waking the pool costs about what fewer blocks would save
+        return kernel(*arrays)
+    n_blocks = min(n_bins, -(-n_blocks // WORKERS) * WORKERS)
+    edges = [i * n_bins // n_blocks for i in range(n_blocks + 1)]
+    blocks = [[a[lo:hi] for a in arrays] for lo, hi in zip(edges, edges[1:])]
+    futures = [_pool.submit(kernel, *b) for i, b in enumerate(blocks) if i % WORKERS]
+    try:
+        for b in blocks[::WORKERS]:
+            kernel(*b)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()

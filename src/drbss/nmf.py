@@ -77,4 +77,6 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
 
 def model_cost(power: np.ndarray, variances: np.ndarray) -> float:
     """Sum of power/r + log r, the variance-model part of the objective."""
-    return float(np.sum(power / variances + np.log(variances)))
+    q = power / variances
+    q += np.log(variances)
+    return float(np.sum(q))

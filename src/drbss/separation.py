@@ -10,20 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, checked_solve
+from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, checked_solve, over_bins
 
 
 def weighted_gram(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Weighted Gram matrices sum_t inv v v^H, shape (F, D, D).
 
-    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) weight track. The
-    only (F, D, T) temporary is the weighted conjugate; since
+    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) weight track. Per bin
+    block, the only (B, D, T) temporary is the weighted conjugate; since
     conj(x) conj(y) == conj(x y) exactly, the result is bit-identical to
     ``(vectors * inv) @ vectors.conj().swapaxes(1, 2)``.
     """
+    out = np.empty(vectors.shape[:2] + vectors.shape[1:2], dtype=np.result_type(vectors, inv))
+    over_bins(_gram_block, len(vectors), 2 * vectors.nbytes + inv.nbytes, vectors, inv, out)
+    return out
+
+
+def _gram_block(vectors: np.ndarray, inv: np.ndarray, out: np.ndarray) -> None:
     weighted = vectors.conj()
     weighted *= inv[:, None, :]
-    return np.conj(weighted @ vectors.swapaxes(1, 2))
+    np.conj(np.matmul(weighted, vectors.swapaxes(1, 2), out=out), out=out)
 
 
 def weighted_cov(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -67,18 +73,17 @@ def ip_update_row(
 
 
 def steering_gains(
-    outputs: np.ndarray, inv: np.ndarray, pivot: np.ndarray
+    weighted: np.ndarray, inv: np.ndarray, pivot_conj: np.ndarray, pivot_power: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 steering gains of every output against ``pivot``, shape (F, N).
+    """Rank-1 steering gains of every output y against a pivot p, shape (F, N).
 
-    ``outputs`` is (F, N, T), ``inv`` the (F, N, T) inverse variances and
-    ``pivot`` an (F, T) signal. Each gain is sum_t y conj(p) / r divided
-    by the guarded weighted pivot power sum_t |p|^2 / r, which is also
-    returned: the exact coordinate minimizer along the pivot direction.
+    ``weighted`` is y / r, (F, N, T), for the inverse variances ``inv``; the
+    pivot enters as conj(p) and |p|^2, (F, T), so a sweep can hoist them. Each
+    gain is sum_t y conj(p) / r divided by the guarded weighted pivot power
+    sum_t |p|^2 / r, which is also returned: the exact coordinate minimizer.
     """
-    num = np.einsum("fmt,ft->fm", outputs * inv, pivot.conj())
-    den = np.einsum("fmt,ft->fm", inv, np.abs(pivot) ** 2)
-    den = np.maximum(den, DENOMINATOR_GUARD)
+    num = np.einsum("fmt,ft->fm", weighted, pivot_conj)
+    den = np.maximum(np.einsum("fmt,ft->fm", inv, pivot_power), DENOMINATOR_GUARD)
     return num / den, den
 
 
@@ -90,7 +95,8 @@ def iss_coefficients(outputs: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray
     correlations, and the self gain rescales the pivot to unit weighted power.
     """
     n_frames = outputs.shape[2]
-    gains, den = steering_gains(outputs, inv, outputs[:, n, :])
+    pivot = outputs[:, n, :]
+    gains, den = steering_gains(outputs * inv, inv, pivot.conj(), np.abs(pivot) ** 2)
     gains[:, n] = 1.0 - np.sqrt(n_frames) / np.sqrt(den[:, n])
     return gains
 
@@ -120,5 +126,10 @@ def iss_source_sweep(
     inv: np.ndarray,
 ) -> None:
     """One steering sweep over sources 0..N-1 under fixed (F, N, T) inverse variances."""
+    # per pivot it touches the outputs, their weighted copy and update, and inv
+    over_bins(_iss_block, outputs.shape[0], 3 * outputs.nbytes + inv.nbytes, matrix, outputs, inv)
+
+
+def _iss_block(matrix: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
     for n in range(outputs.shape[1]):
         iss_update_source(matrix, outputs, inv, n)

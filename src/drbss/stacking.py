@@ -54,10 +54,10 @@ class StackedObservation:
     def dim(self) -> int:
         return self.n_channels * len(self.lags)
 
-    def row(self, k: int) -> np.ndarray:
-        """Stacked row ``k``, an (F, T) view of ``padded``."""
+    def row(self, k: int, of: np.ndarray | None = None) -> np.ndarray:
+        """Stacked row ``k``, an (F, T) view of ``padded`` (or of ``of``, laid out like it)."""
         start = self.lags[-1] - self.lags[k // self.n_channels]
-        return self.padded[:, k % self.n_channels, start : start + self.spec.n_frames]
+        return (self.padded if of is None else of)[:, k % self.n_channels, start : start + self.spec.n_frames]
 
     @cached_property
     def tilde(self) -> np.ndarray:

@@ -1,0 +1,149 @@
+"""Frequency-parallel kernels: bin blocks on a thread pool, bit for bit."""
+
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from drbss import AlgorithmVariant, SolveCounter, TapConfig, linalg, run
+from tests.conftest import desk_spectrogram
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import spans  # noqa: E402  (the benchmark's layer tracer)
+
+TAPS = TapConfig(3, 2)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A pool that counts the blocks handed to it (``submit`` runs on the caller)."""
+
+    submitted = 0
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    pool = CountingPool(2)
+    monkeypatch.setattr(linalg, "_pool", pool)
+    yield pool
+    pool.shutdown(wait=True)
+
+
+def _run_all(spec):
+    results = {}
+    for variant in AlgorithmVariant:
+        counter = SolveCounter()
+        res = run(variant, spec, iterations=6, taps=TAPS, counter=counter)
+        results[variant] = (res.outputs.data, res.demixer.matrix, res.trace.costs, res.trace.cumulative_solves)
+    return results
+
+
+@pytest.mark.parametrize("n_sources", [2, 3])
+def test_every_variant_is_bit_identical_for_any_worker_count_and_split(monkeypatch, pool, n_sources):
+    spec = desk_spectrogram(4, n_sources=n_sources, n_samples=6000)
+    monkeypatch.setattr(linalg, "WORKERS", 1)
+    serial = _run_all(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        # 2 workers in small blocks; 3 workers in 9 blocks of 14 or 15 bins; one bin per block
+        for workers, block_bytes in ((2, 1 << 14), (3, spec.data.nbytes // 8), (2, 1)):
+            monkeypatch.setattr(linalg, "WORKERS", workers)
+            monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+            before = pool.submitted
+            blocked = _run_all(spec)
+            assert pool.submitted > before
+            for variant, arrays in serial.items():
+                for want, got in zip(arrays, blocked[variant]):
+                    assert np.array_equal(want, got), (variant, workers, block_bytes)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ThreadTracer(spans.Tracer):
+    """The benchmark's tracer, also noting the thread that enters each layer."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def _enter(self, layer):
+        self.threads.append((layer, threading.current_thread().name))
+        return super()._enter(layer)
+
+
+def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    spec = desk_spectrogram(2, n_sources=2, n_samples=6000)
+    tracer = ThreadTracer()
+    with tracer.installed():
+        for variant in (
+            AlgorithmVariant.ILRMA_T_IP,
+            AlgorithmVariant.ILRMA_T_ISS_JOINT,
+            AlgorithmVariant.ILRMA_T_ISS_SEQ,
+        ):
+            run(variant, spec, iterations=3, taps=TAPS)
+    assert pool.submitted > 0
+    layers = {layer for layer, _ in tracer.threads}
+    assert {"separation.weighted_cov", "separation.iss_source_sweep", "ilrma_t.tap_sweep"} <= layers
+    main = threading.main_thread().name
+    assert [entry for entry in tracer.threads if entry[1] != main] == []
+    assert all(entry["self_ms"] >= 0 for entry in tracer.summary().values())
+
+
+@pytest.mark.parametrize("bad", range(6))
+def test_a_block_exception_propagates_after_every_block_finishes(monkeypatch, bad):
+    monkeypatch.setattr(linalg, "WORKERS", 3)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
+    lock = threading.Lock()
+    running, finished, threads = [0], [], set()
+
+    def kernel(block):
+        with lock:
+            running[0] += 1
+            threads.add(threading.current_thread().name)
+        try:
+            index = int(block[0])
+            if index == bad:
+                raise ValueError(f"block {bad}")
+            time.sleep(0.05)
+            block[:] = -1
+            finished.append(index)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    bins = np.arange(6)
+    with pytest.raises(ValueError, match=f"block {bad}"):
+        linalg.over_bins(kernel, 6, 6, bins)
+    assert running[0] == 0  # no block still runs (or writes) once the call has returned
+    assert len(threads) > 1
+    assert len(finished) == int(np.sum(bins == -1))
+
+
+def _add_one(block):
+    block += 1
+
+
+def _blocked_sum(_):
+    bins = np.zeros(8)
+    linalg.over_bins(_add_one, 8, 8, bins)
+    return float(bins.sum())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_a_forked_child_gets_its_own_pool(monkeypatch):
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
+    assert _blocked_sum(None) == 8.0  # the pool's thread runs before the fork
+    with multiprocessing.get_context("fork").Pool(1) as child:
+        assert child.map_async(_blocked_sum, [None]).get(timeout=60) == [8.0]
