@@ -511,7 +511,6 @@ FUZZ_BENCH = [
     *(({"iterations": v}, "iterations") for v in (-1, "3", 1.5)),
     *(({"metric_every": v}, "metric_every") for v in (0, -1, "2")),
     *(({"duration": v}, "duration") for v in (0, -1, float("inf"), float("nan"), None, "x")),
-    ({"duration": 1e12}, "allocate"),  # a room too large to allocate fails the matrix, not each cell
     *(({"sample_rate": v}, "sample_rate") for v in (0, -1, 8000.5, "x")),
     *(({"frame_len": v}, "frame_len") for v in (0, 300, "x")),
     *(({"hop": v}, "hop") for v in (0, 100, "x")),
@@ -547,7 +546,9 @@ def fuzz_inputs(tmp_path_factory):
         ("separate", ["{root}/empty.wav"], "empty.wav"),
     ]
     + [(cmd, [*mix, "--config", f"{{root}}/{name}.json"], name)
-       for cmd, mix in (("simulate", []), ("separate", ["{root}/mix.wav"])) for name in ("list", "broken")],
+       for cmd, mix in (("simulate", []), ("separate", ["{root}/mix.wav"])) for name in ("list", "broken")]
+    # a room too large to allocate fails the matrix, not each cell
+    + [("bench", {"duration": 1e12}, "allocate")],
 )
 def test_every_bad_flag_or_matrix_value_exits_2_with_one_line(tmp_path, capsys, fuzz_inputs, command, bad, text):
     out = tmp_path / "out"
