@@ -19,7 +19,7 @@ from scipy.io import wavfile
 
 from .ilrma_t import VARIANTS, AlgorithmVariant, RunResult, projection_back, run
 from .linalg import NumericalError, SolveCounter
-from .metrics import evaluate, mean_delta_si_sdr
+from .metrics import evaluate, mean_delta_si_sdr, mixture_baseline
 from .sim import SyntheticRoomConfig, make_sources, mix
 from .stacking import TapConfig
 from .stft import Spectrogram, StftConfig, analyze, synthesize
@@ -377,6 +377,7 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
         sources = make_sources(n_sources, int(round(duration * fs)), fs, config.seed)
         result = mix(sources, room)
         refs = result.direct_images[:, 0, :]
+        _, baseline = mixture_baseline(refs, result.mixture)  # the same at every checkpoint
 
         deltas: dict[int, float] = {}
 
@@ -386,12 +387,12 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
             if iteration > 0 and config.variant != AlgorithmVariant.WPE.value:
                 outputs, _ = projection_back(dm, outputs)
             est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
-            deltas[iteration] = mean_delta_si_sdr(refs, est, result.mixture)
+            deltas[iteration] = mean_delta_si_sdr(refs, est, baseline)
 
         _, run_result = _separate(config, result.mixture, fs, callback=checkpoint)
         if config.iterations not in deltas:  # the last checkpoint already scored the final state
             final_est = synthesize(run_result.outputs)
-            deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, result.mixture)
+            deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, baseline)
         rows = []
         for iteration in sorted(deltas):
             rows.append(

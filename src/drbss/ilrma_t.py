@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import NumericalError, SolveCounter, add_loading, checked_solve, over_bins
-from .nmf import init_model, model_cost, nmf_update, variance
+from .nmf import init_model, model_cost_in_place, nmf_update, variance
 from .separation import ip_update_row, iss_source_sweep, steering_gains, weighted_cov, weighted_gram
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
@@ -91,14 +91,16 @@ def cost(dm: ExtendedDemixer, power: np.ndarray, variances: np.ndarray) -> float
     """Negative log-likelihood of the current filter and variance model.
 
     ``power`` (the output power |y|^2) and the floored ``variances`` are
-    both (F, N, T). A singular separation block is an error, not -inf.
+    both (F, N, T). The model term is summed in ``power``, which holds
+    power/r + log r on return. A singular separation block is an error,
+    not -inf.
     """
     _, logdet = np.linalg.slogdet(dm.mixing)
     if not np.all(np.isfinite(logdet)):
         bad = int(np.flatnonzero(~np.isfinite(logdet))[0])
         raise NumericalError(f"singular separation block at frequency bin {bad}")
     det_term = -2.0 * power.shape[2] * float(np.sum(logdet))
-    return det_term + model_cost(power, variances)
+    return det_term + model_cost_in_place(power, variances)
 
 
 def ilrma_t_ip_iteration(
@@ -239,17 +241,19 @@ def projection_back(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rescale each source to its image at the first channel.
 
-    The scale for source n is entry (0, n) of the inverse separation
-    block, obtained as one transposed solve per frequency. Returns the
-    scaled outputs and the (F, N) scales.
+    Returns the scaled outputs, a new array (``outputs`` is not changed),
+    and the (F, N) scales.
     """
-    n = dm.n_channels
-    rhs = np.zeros((n, 1), dtype=np.complex128)
-    rhs[0, 0] = 1.0
-    scales = checked_solve(
-        dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True
-    )[..., 0]
+    scales = _projection_scales(dm, counter)
     return outputs * scales[:, :, None], scales
+
+
+def _projection_scales(dm: ExtendedDemixer, counter: SolveCounter | None) -> np.ndarray:
+    """Entry (0, n) of the inverse separation block for every source n, shape (F, N):
+    one transposed solve per frequency."""
+    rhs = np.zeros((dm.n_channels, 1), dtype=np.complex128)
+    rhs[0, 0] = 1.0
+    return checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True)[..., 0]
 
 
 def run(
@@ -312,7 +316,8 @@ def run(
 
     scales = None
     if iterations > 0:
-        outputs, scales = projection_back(dm, outputs, counter)
+        scales = _projection_scales(dm, counter)
+        outputs *= scales[:, :, None]
     out_spec = Spectrogram(outputs, work.config, work.n_samples)
     return RunResult(out_spec, trace, dm, scales)
 

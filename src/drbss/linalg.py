@@ -102,8 +102,10 @@ def checked_solve(
     return out
 
 
-def over_bins(kernel, n_bins: int, working_bytes: int, *arrays: np.ndarray) -> None:
+def over_bins(kernel, n_bins: int, working_bytes: int, *arrays: np.ndarray | range) -> None:
     """Run ``kernel(*blocks)`` over contiguous slices of the leading (bin) axis of ``arrays``.
+
+    A kernel that blocks another axis of its operands takes ``range(n)`` and slices them itself.
 
     Inline unless the ``working_bytes`` the kernel touches fill two ``BLOCK_BYTES`` blocks
     per worker; then in equal blocks, a multiple of ``WORKERS`` of them, every ``WORKERS``-th

@@ -150,23 +150,29 @@ class EvalReport:
         return float(np.mean(self.delta_si_sdr))
 
 
-def _aligned(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray):
-    """References, the estimates' permutation, the aligned estimates and mixture,
-    and the estimates' SI-SDR and its gain over the mixture's, each pair scored once."""
-    refs = np.asarray(references, dtype=np.float64)
-    ests = np.asarray(estimates, dtype=np.float64)
+def mixture_baseline(references: np.ndarray, mixture: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The mixture channels aligned to the references and each pair's SI-SDR: the
+    baseline of every estimate's gain, scored once for any number of estimates."""
     mix = np.asarray(mixture, dtype=np.float64)
     if mix.ndim == 1:
         mix = mix[None, :]
+    perm, sdr = _align(np.asarray(references, dtype=np.float64), mix)
+    return mix[list(perm)], sdr
+
+
+def _gains(references: np.ndarray, estimates: np.ndarray, baseline: list[float]):
+    """References, the estimates' permutation, the aligned estimates, their SI-SDR and
+    its gain over the mixture's ``baseline`` SI-SDR, each pair scored once."""
+    refs = np.asarray(references, dtype=np.float64)
+    ests = np.asarray(estimates, dtype=np.float64)
     perm, sdr = _align(refs, ests)
-    mix_perm, base_sdr = _align(refs, mix)
-    delta = [s - b for s, b in zip(sdr, base_sdr)]
-    return refs, perm, ests[list(perm)], mix[list(mix_perm)], sdr, delta
+    return refs, perm, ests[list(perm)], sdr, [s - b for s, b in zip(sdr, baseline)]
 
 
-def mean_delta_si_sdr(references: np.ndarray, estimates: np.ndarray, mixture: np.ndarray) -> float:
-    """``evaluate(...).mean_delta_si_sdr`` without SI-SIR or cepstral distance."""
-    *_, delta = _aligned(references, estimates, mixture)
+def mean_delta_si_sdr(references: np.ndarray, estimates: np.ndarray, baseline: list[float]) -> float:
+    """``evaluate(...).mean_delta_si_sdr`` without SI-SIR or cepstral distance, given the
+    mixture's SI-SDR per reference, ``mixture_baseline(references, mixture)[1]``."""
+    *_, delta = _gains(references, estimates, baseline)
     return float(np.mean(delta))
 
 
@@ -182,7 +188,8 @@ def evaluate(
     exhaustive assignment as the estimates, so scoring the mixture
     against itself yields exactly zero deltas.
     """
-    refs, perm, ests, base, sdr, d_sdr = _aligned(references, estimates, mixture)
+    base, base_sdr = mixture_baseline(references, mixture)
+    refs, perm, ests, sdr, d_sdr = _gains(references, estimates, base_sdr)
     sir = [si_sir(refs, e, i) for i, e in enumerate(ests)]
     cd = [cepstral_distance(r, e, sample_rate) for r, e in zip(refs, ests)]
     d_sir = [s - si_sir(refs, b, i) for i, (s, b) in enumerate(zip(sir, base))]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import VARIANCE_FLOOR
+from .linalg import VARIANCE_FLOOR, over_bins
 
 # Lower bound applied to the nonnegative factors themselves, so a
 # factor driven to zero cannot wedge later multiplicative updates.
@@ -44,39 +44,81 @@ def init_model(
 
 
 def variance(model: NmfVarianceModel) -> np.ndarray:
-    """Modelled variances, shape (F, N, T), floored away from zero."""
-    r = np.einsum("nkf,ntk->fnt", model.bases, model.activations)
-    return np.maximum(r, model.floor)
+    """Modelled variances, shape (F, N, T), floored away from zero.
+
+    The array is f-fastest in memory, laid out (N, T, F) by einsum, so it is not
+    C-contiguous. ``nmf_update`` refreshes it in that order; a C-contiguous copy
+    changes the rounding of the kernels that read it.
+    """
+    return _evaluate(model.bases, model.activations, model.floor)
+
+
+def _evaluate(bases: np.ndarray, activations: np.ndarray, floor: float, out=None) -> np.ndarray:
+    """The floored model at the frames of ``activations``, written into ``out`` if given."""
+    r = np.einsum("nkf,ntk->fnt", bases, activations, out=out)
+    return np.maximum(r, floor, out=out)
 
 
 def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """One multiplicative sweep (bases, then activations) against ``power``.
 
     ``power`` is the output power |y|^2 and ``variances`` the model's
-    current ``variance(model)``, both (F, N, T). The model is evaluated
-    once after each half-update; the second, refreshed variances are
-    returned.
+    current ``variance(model)``, both (F, N, T). The bases are updated per
+    block of bins, then the activations per block of frames under those
+    frames' variances for the new bases. The refreshed variances overwrite
+    ``variances``, in its memory order, which is returned. No temporary is
+    larger than a block.
     """
     shape = (model.bases.shape[2], model.n_sources, model.activations.shape[1])
     if power.shape != shape or variances.shape != shape:
         raise ValueError("power and variance tensor shapes do not match the model")
     if np.any(power < 0):
         raise ValueError("power tensor must be nonnegative")
+    bases, activations, floor = model.bases, model.activations, model.floor
 
-    for factor, other, subscripts in (
-        (model.bases, model.activations, "ntk,fnt->nkf"),
-        (model.activations, model.bases, "nkf,fnt->ntk"),
-    ):
-        num = np.einsum(subscripts, other, power / (variances * variances))
-        den = np.einsum(subscripts, other, 1.0 / variances)
-        factor *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
-        np.maximum(factor, FACTOR_FLOOR, out=factor)
-        variances = variance(model)
+    def bases_block(bins: range) -> None:
+        f = slice(bins.start, bins.stop)
+        v = variances[f]
+        num = v * v
+        np.divide(power[f], num, out=num)  # in the variances' order: a faster einsum, same bits
+        _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
+
+    def activations_block(frames: range) -> None:
+        t = slice(frames.start, frames.stop)
+        acts = activations[:, t]
+        v = _evaluate(bases, acts, floor)
+        _scale(acts, bases, "nkf,fnt->ntk", power[:, :, t] / (v * v), v)
+        _evaluate(bases, acts, floor, out=variances[:, :, t])
+
+    # a block touches power, the variances and up to three temporaries of their size
+    over_bins(bases_block, shape[0], 5 * power.nbytes, range(shape[0]))
+    over_bins(activations_block, shape[2], 5 * power.nbytes, range(shape[2]))
     return variances
 
 
+def _scale(factor: np.ndarray, other: np.ndarray, subscripts: str, num: np.ndarray, variances: np.ndarray) -> None:
+    """Multiply ``factor``, a block view, by its update ratio; ``num`` is power / variances²."""
+    num = np.einsum(subscripts, other, num)
+    den = np.einsum(subscripts, other, 1.0 / variances)
+    factor *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
+    np.maximum(factor, FACTOR_FLOOR, out=factor)
+
+
 def model_cost(power: np.ndarray, variances: np.ndarray) -> float:
-    """Sum of power/r + log r, the variance-model part of the objective."""
-    q = power / variances
-    q += np.log(variances)
-    return float(np.sum(q))
+    """Sum of power/r + log r, the variance-model part of the objective.
+
+    ``power`` and ``variances`` share their shape, (F, N, T) or WPE's (F, T)
+    track; neither is changed.
+    """
+    return model_cost_in_place(power.copy(), variances)
+
+
+def model_cost_in_place(power: np.ndarray, variances: np.ndarray) -> float:
+    """``model_cost``, summed in ``power``: it holds power/r + log r on return."""
+    over_bins(_model_term, len(power), 3 * power.nbytes, power, variances)
+    return float(np.sum(power))
+
+
+def _model_term(power: np.ndarray, variances: np.ndarray) -> None:
+    np.divide(power, variances, out=power)
+    power += np.log(variances)

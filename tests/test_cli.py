@@ -8,7 +8,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from drbss import SyntheticRoomConfig, make_sources
+from drbss import SyntheticRoomConfig, cli, make_sources
 from drbss.cli import (
     ConfigError,
     RunConfig,
@@ -306,6 +306,37 @@ def test_bench_grid_with_failed_cell(tmp_path):
     failed = {(r["variant"], r["n_sources"]): r["failed"] for r in summary}
     assert failed[("ilrma-iss", "5")] == "1"
     assert failed[("ilrma-iss", "2")] == "0"
+
+
+def test_bench_scores_the_mixture_baseline_once_per_cell(tmp_path, monkeypatch):
+    """A cell's mixture and references do not change between checkpoints."""
+    calls = []
+    original = cli.mixture_baseline
+
+    def counted(references, mixture):
+        calls.append(1)
+        return original(references, mixture)
+
+    monkeypatch.setattr(cli, "mixture_baseline", counted)
+    matrix = {
+        "variants": ["ilrma-iss", "wpe"],
+        "n_sources": [2],
+        "seeds": [0, 1],
+        "iterations": 4,
+        "metric_every": 1,
+        "duration": 1.0,
+        "frame_len": 256,
+        "hop": 128,
+    }
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    out = cmd_bench(path, tmp_path / "bench")
+    with open(out / "curves.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok"] * 4 * 5
+    assert len(calls) == 4
+    # the unprocessed mixture scored against its own baseline gains exactly nothing
+    assert all(float(r["delta_si_sdr"]) == 0.0 for r in rows if r["iteration"] == "0")
 
 
 def test_bench_rejects_bad_matrix(tmp_path, capsys):

@@ -25,7 +25,7 @@ from drbss import (
     run,
     variance,
 )
-from drbss import ilrma_t, nmf
+from drbss import linalg, nmf
 from tests.conftest import FS, TAPPED_VARIANTS, desk_mixture, desk_spectrogram
 
 SMALL_TAPS = TapConfig(2, 2)
@@ -122,6 +122,19 @@ def test_projection_back_restores_mixture_images():
     scaled, _ = projection_back(dm, outputs)
     for n in range(n_src):
         assert np.allclose(scaled[:, n, :], a[0, n] * s[:, n, :], atol=1e-10)
+
+
+def test_projection_back_leaves_its_argument_unchanged():
+    """The bench checkpoint projects the live outputs of a running job back."""
+    spec = small_spec(15)
+    result = run(AlgorithmVariant.ILRMA_ISS, spec, iterations=2)
+    outputs = result.demixer.top @ spec.data
+    before = outputs.copy()
+    scaled, scales = projection_back(result.demixer, outputs)
+    assert np.array_equal(outputs, before)
+    assert scaled is not outputs
+    assert np.array_equal(scaled, outputs * scales[:, :, None])
+    assert np.array_equal(scales, result.scales)
 
 
 def test_projection_back_counts_per_bin():
@@ -283,22 +296,29 @@ def test_maintained_outputs_match_fresh_demix():
 
 
 def test_run_evaluates_the_variance_model_once_per_state(monkeypatch):
-    """One ``variance`` for the initial model, then one after each NMF half-update."""
-    calls = []
-    original = nmf.variance
+    """Each variance state (the initial model, then the model after each NMF
+    half-update) is evaluated exactly once per element, inline or in blocks."""
+    evaluated = []
+    original = nmf._evaluate
 
-    def counted(model):
-        calls.append(1)
-        return original(model)
+    def counted(bases, activations, floor, out=None):
+        r = original(bases, activations, floor, out)
+        evaluated.append(r.size)
+        return r
 
-    monkeypatch.setattr(nmf, "variance", counted)
-    monkeypatch.setattr(ilrma_t, "variance", counted)
+    monkeypatch.setattr(nmf, "_evaluate", counted)
     spec = small_spec(14)
-    for variant in (AlgorithmVariant.ILRMA_IP, AlgorithmVariant.ILRMA_T_ISS_SEQ):
-        for iterations in (0, 1, 4):
-            calls.clear()
-            run(variant, spec, iterations=iterations, taps=SMALL_TAPS)
-            assert len(calls) == 1 + 2 * iterations, (variant, iterations)
+    elements = spec.n_bins * spec.n_channels * spec.n_frames
+    for workers, block_bytes in ((1, linalg.BLOCK_BYTES), (2, 1 << 12)):
+        monkeypatch.setattr(linalg, "WORKERS", workers)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        for variant in (AlgorithmVariant.ILRMA_IP, AlgorithmVariant.ILRMA_T_ISS_SEQ):
+            for iterations in (0, 1, 4):
+                evaluated.clear()
+                run(variant, spec, iterations=iterations, taps=SMALL_TAPS)
+                assert sum(evaluated) == (1 + 2 * iterations) * elements, (variant, iterations, workers)
+                if iterations and workers > 1:
+                    assert len(evaluated) > 1 + 2 * iterations  # the states were evaluated in blocks
 
 
 def test_run_rejects_bad_arguments():

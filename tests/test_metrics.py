@@ -11,7 +11,7 @@ from drbss import (
     si_sir,
 )
 from drbss import metrics
-from drbss.metrics import DB_CAP, hann_window, mean_delta_si_sdr
+from drbss.metrics import DB_CAP, hann_window, mean_delta_si_sdr, mixture_baseline
 
 FS = 8000
 
@@ -199,8 +199,9 @@ def test_evaluate_improvement_is_positive_for_cleaner_estimates():
     assert report.permutation == (0, 1)
     assert report.mean_delta_si_sdr == pytest.approx(np.mean(report.delta_si_sdr))
     # the SI-SDR-only score takes the same alignment path, bit for bit
-    assert mean_delta_si_sdr(refs, ests, mixture) == report.mean_delta_si_sdr
-    assert mean_delta_si_sdr(refs, ests[::-1], mixture) == report.mean_delta_si_sdr
+    _, baseline = mixture_baseline(refs, mixture)
+    assert mean_delta_si_sdr(refs, ests, baseline) == report.mean_delta_si_sdr
+    assert mean_delta_si_sdr(refs, ests[::-1], baseline) == report.mean_delta_si_sdr
 
 
 def test_evaluate_scores_each_pair_once(monkeypatch):
@@ -226,5 +227,7 @@ def test_evaluate_scores_each_pair_once(monkeypatch):
     assert evaluate(refs, ests, mixture, FS) == report
     assert len(calls) == 2 * 3 * 3
     calls.clear()
-    assert mean_delta_si_sdr(refs, ests, mixture) == report.mean_delta_si_sdr
+    _, baseline = mixture_baseline(refs, mixture)
+    assert len(calls) == 3 * 3
+    assert mean_delta_si_sdr(refs, ests, baseline) == report.mean_delta_si_sdr
     assert len(calls) == 2 * 3 * 3

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
-from drbss import AlgorithmVariant, NmfVarianceModel, init_model, nmf_update, run, variance
+from drbss import (
+    AlgorithmVariant,
+    ExtendedDemixer,
+    NmfVarianceModel,
+    TapConfig,
+    cost,
+    init_model,
+    linalg,
+    nmf_update,
+    run,
+    variance,
+    wpe_variance_update,
+)
 from drbss.nmf import model_cost
+from drbss.wpe import wpe_objective
 from tests.conftest import desk_spectrogram
 
 
@@ -110,3 +123,40 @@ def test_variances_share_the_outputs_layout():
     model = init_model(3, 2, spec.n_bins, spec.n_frames, seed=0)
     assert variance(model).shape == outputs.shape
     assert nmf_update(model, np.abs(outputs) ** 2, variance(model)).shape == outputs.shape
+
+
+def test_variances_are_f_fastest_and_refreshed_in_place():
+    """``variance`` is (F, N, T)-shaped but laid out (N, T, F) in memory, the order einsum
+    gives it; ``nmf_update`` writes the refreshed variances into that buffer and order."""
+    model = init_model(2, 3, 5, 7, seed=0)
+    r = variance(model)
+    assert r.shape == (5, 2, 7)
+    assert r.strides == (r.itemsize, 5 * 7 * r.itemsize, 5 * r.itemsize)
+    power = np.random.default_rng(7).uniform(0.0, 2.0, size=(5, 2, 7))
+    assert nmf_update(model, power, r) is r
+    assert r.strides == (r.itemsize, 5 * 7 * r.itemsize, 5 * r.itemsize)
+    assert np.array_equal(r, variance(model))
+
+
+@pytest.mark.parametrize("workers, block_bytes", [(1, linalg.BLOCK_BYTES), (2, 1 << 10)])
+def test_model_cost_changes_nothing_and_takes_a_wpe_track(monkeypatch, workers, block_bytes):
+    """``model_cost`` leaves its arguments alone, for (F, N, T) tensors and WPE's (F, T)
+    track alike; ``cost`` sums the same term in its ``power`` buffer."""
+    monkeypatch.setattr(linalg, "WORKERS", workers)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((33, 2, 40)) + 1j * rng.standard_normal((33, 2, 40))
+    track = wpe_variance_update(z)
+    model = init_model(2, 2, 33, 40, seed=8)
+    for power, variances in ((np.abs(z) ** 2, variance(model)), (np.mean(np.abs(z) ** 2, axis=1), track)):
+        kept = power.copy(), variances.copy()
+        want = power / variances
+        want += np.log(variances)
+        assert model_cost(power, variances) == float(np.sum(want))
+        assert np.array_equal(power, kept[0]) and np.array_equal(variances, kept[1])
+    assert wpe_objective(z, track) == model_cost(np.sum(np.abs(z) ** 2, axis=1) / 2, track)
+
+    power, variances = np.abs(z) ** 2, variance(model)
+    want = model_cost(power, variances)
+    assert cost(ExtendedDemixer.identity(33, 2, TapConfig(0, 1)), power, variances) == want
+    assert np.array_equal(power, np.abs(z) ** 2 / variances + np.log(variances))

@@ -4,13 +4,25 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drbss import AlgorithmVariant, SolveCounter, TapConfig, linalg, run
+from drbss import (
+    AlgorithmVariant,
+    ExtendedDemixer,
+    SolveCounter,
+    TapConfig,
+    cost,
+    init_model,
+    linalg,
+    nmf_update,
+    run,
+    variance,
+)
 from tests.conftest import desk_spectrogram
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -20,12 +32,18 @@ TAPS = TapConfig(3, 2)
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A pool that counts the blocks handed to it (``submit`` runs on the caller)."""
+    """A pool that counts the blocks handed to it and names their kernels (``submit`` runs
+    on the caller)."""
 
     submitted = 0
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.kernels = set()
+
     def submit(self, fn, *args, **kwargs):
         self.submitted += 1
+        self.kernels.add(fn.__name__)
         return super().submit(fn, *args, **kwargs)
 
 
@@ -68,6 +86,61 @@ def test_every_variant_is_bit_identical_for_any_worker_count_and_split(monkeypat
         sys.setswitchinterval(interval)
 
 
+def _variance_model_instance(n_sources, n_bins=67, n_frames=151):
+    """Output power as ``run`` holds it (C order) and a demixer with a random separation block."""
+    rng = np.random.default_rng(n_sources)
+    power = np.abs(rng.standard_normal((n_bins, n_sources, n_frames))) ** 2
+    dm = ExtendedDemixer.identity(n_bins, n_sources, TapConfig(0, 1))
+    dm.matrix += 0.3 * rng.standard_normal(dm.matrix.shape)
+    return power, dm
+
+
+def _model_sweeps(power, dm):
+    model = init_model(power.shape[1], 3, power.shape[0], power.shape[2], seed=1)
+    variances = variance(model)
+    costs = []
+    for _ in range(3):
+        nmf_update(model, power, variances)
+        costs.append(cost(dm, power.copy(), variances))
+    return model.bases, model.activations, variances, costs
+
+
+@pytest.mark.parametrize("n_sources", [2, 3])
+def test_variance_model_and_cost_are_bit_identical_for_any_worker_count_and_split(monkeypatch, pool, n_sources):
+    power, dm = _variance_model_instance(n_sources)
+    monkeypatch.setattr(linalg, "WORKERS", 1)
+    serial = _model_sweeps(power, dm)
+    # 2 workers in small blocks; 3 workers in 21 NMF and 12 cost blocks; one bin or frame per block
+    for workers, block_bytes in ((2, 1 << 12), (3, power.nbytes // 4), (2, 1)):
+        monkeypatch.setattr(linalg, "WORKERS", workers)
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+        before = pool.submitted
+        blocked = _model_sweeps(power, dm)
+        assert pool.submitted > before
+        for want, got in zip(serial, blocked):
+            assert np.array_equal(want, got), (workers, block_bytes)
+
+
+def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool):
+    """In blocks, neither the NMF sweep nor the cost allocates a whole (F, N, T) temporary."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    power, dm = _variance_model_instance(3, n_bins=129, n_frames=316)
+    model = init_model(3, 2, 129, 316, seed=0)
+    variances = variance(model)
+    nmf_update(model, power, variances)  # the pool's thread is started before measuring
+    scratch = power.copy()
+    for call in (lambda: nmf_update(model, power, variances), lambda: cost(dm, scratch, variances)):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            call()
+            extra = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert extra < power.nbytes
+
+
 class ThreadTracer(spans.Tracer):
     """The benchmark's tracer, also noting the thread that enters each layer."""
 
@@ -92,9 +165,16 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
             AlgorithmVariant.ILRMA_T_ISS_SEQ,
         ):
             run(variant, spec, iterations=3, taps=TAPS)
-    assert pool.submitted > 0
+    assert {"sweep", "_iss_block", "_gram_block", "bases_block", "activations_block", "_model_term"} <= pool.kernels
     layers = {layer for layer, _ in tracer.threads}
-    assert {"separation.weighted_cov", "separation.iss_source_sweep", "ilrma_t.tap_sweep"} <= layers
+    assert {
+        "separation.weighted_cov",
+        "separation.iss_source_sweep",
+        "ilrma_t.tap_sweep",
+        "nmf.update",
+        "nmf.variance",
+        "ilrma_t.cost",
+    } <= layers
     main = threading.main_thread().name
     assert [entry for entry in tracer.threads if entry[1] != main] == []
     assert all(entry["self_ms"] >= 0 for entry in tracer.summary().values())
