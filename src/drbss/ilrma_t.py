@@ -116,11 +116,10 @@ def ilrma_t_ip_iteration(
     each row update re-reads the current separation block, and the
     outputs are rewritten in place at the end.
     """
-    tilde = sx.tilde
-    covs = [add_loading(weighted_cov(tilde, inv[:, n])) for n in range(dm.n_channels)]
+    covs = weighted_cov(sx, inv)
     for n in range(dm.n_channels):
-        ip_update_row(dm.matrix, covs[n], n, dm.n_channels, counter)
-    np.matmul(dm.top, tilde, out=outputs)
+        ip_update_row(dm.matrix, add_loading(covs[:, n]), n, dm.n_channels, counter)
+    sx.apply(dm.top, outputs)
 
 
 def _steering_sweep_over_taps(
@@ -166,17 +165,23 @@ def _joint_tap_update(
     onto the delayed frames, weighted by the (F, N, T) inverse variances
     ``inv``: one loaded solve per (frequency, source).
     """
-    past = sx.past
-    n_lags = past.shape[1]
+    n, n_lags = dm.n_channels, sx.dim - dm.n_channels
     if n_lags == 0:
         return
-    n = dm.n_channels
-    normal = np.stack([weighted_gram(past, inv[:, m]) for m in range(n)], axis=1)  # (F, N, NL, NL)
-    rhs = np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past)  # (F, N, NL)
+    normal = np.empty((dm.n_bins, n, n_lags, n_lags), dtype=np.complex128)
+    rhs = np.empty((dm.n_bins, n, n_lags), dtype=np.complex128)
+
+    def normal_block(padded, inv, outputs, normal, rhs):  # one gather of the delayed rows per bin block
+        past = sx.gather(padded, past=True)
+        weighted_gram(past, inv, normal)
+        np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past, out=rhs)
+
+    working = (2 * len(sx.lags) - 1) * sx.padded.nbytes + inv.nbytes + 3 * outputs.nbytes  # and 2 temporaries
+    over_bins(normal_block, dm.n_bins, working, sx.padded, inv, outputs, normal, rhs)
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
     dm.matrix[:, :n, n:] -= gains
-    outputs -= gains @ past
+    sx.apply(gains, outputs, past=True)
 
 
 def ilrma_t_iss_seq_iteration(

@@ -11,36 +11,41 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, checked_solve, over_bins
+from .stacking import StackedObservation
 
 
-def weighted_gram(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Weighted Gram matrices sum_t inv v v^H, shape (F, D, D).
+def weighted_gram(rows: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Weighted Gram matrices sum_t inv v v^H of one bin block, into ``out``, (B, N, D, D).
 
-    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) weight track. Per bin
-    block, the only (B, D, T) temporary is the weighted conjugate; since
-    conj(x) conj(y) == conj(x y) exactly, the result is bit-identical to
-    ``(vectors * inv) @ vectors.conj().swapaxes(1, 2)``.
+    ``rows`` is (B, D, T) and ``inv`` N real weight tracks, (B, N, T). The tracks share one
+    scratch for conj(rows) * inv, returned as the last one left it; as conj(x) conj(y) ==
+    conj(x y) exactly, each Gram is bit-identical to ``(rows * inv) @ rows.conj().mT``.
     """
-    out = np.empty(vectors.shape[:2] + vectors.shape[1:2], dtype=np.result_type(vectors, inv))
-    over_bins(_gram_block, len(vectors), 2 * vectors.nbytes + inv.nbytes, vectors, inv, out)
-    return out
+    weighted = np.empty_like(rows)
+    for n in range(inv.shape[1]):
+        np.multiply(np.conjugate(rows, out=weighted), inv[:, n, None, :], out=weighted)
+        np.conj(np.matmul(weighted, rows.swapaxes(1, 2), out=out[:, n]), out=out[:, n])
+    return weighted
 
 
-def _gram_block(vectors: np.ndarray, inv: np.ndarray, out: np.ndarray) -> None:
-    weighted = vectors.conj()
-    weighted *= inv[:, None, :]
-    np.conj(np.matmul(weighted, vectors.swapaxes(1, 2), out=out), out=out)
+def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
+    """Frame-averaged covariances sum_t inv v v^H / T of the stacked rows v, (F, N, D, D).
 
-
-def weighted_cov(vectors: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Frame-averaged covariance sum_t inv v v^H / T, shape (F, D, D).
-
-    ``vectors`` is (F, D, T); ``inv`` is a real (F, T) inverse-variance
-    track 1 / r, as for ``weighted_gram``.
+    ``inv`` holds the real (F, N, T) inverse variances 1 / r. Each bin block
+    gathers its stacked rows once for every source's ``weighted_gram``.
     """
-    if vectors.shape[2] == 0:
+    n_bins, n_src, n_frames = inv.shape
+    if n_frames == 0:
         raise ValueError("cannot average a covariance over zero frames")
-    return weighted_gram(vectors, inv) / vectors.shape[2]
+    out = np.empty((n_bins, n_src, sx.dim, sx.dim), dtype=np.complex128)
+
+    def cov_block(padded, inv, out):
+        weighted_gram(sx.gather(padded), inv, out)
+        out /= n_frames
+
+    working = (1 + 2 * len(sx.lags)) * sx.padded.nbytes + inv.nbytes  # padded, its rows, their weighted copy
+    over_bins(cov_block, n_bins, working, sx.padded, inv, out)
+    return out
 
 
 def ip_update_row(

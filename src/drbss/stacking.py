@@ -10,11 +10,10 @@ leading separation block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import SolveCounter, checked_solve
+from .linalg import SolveCounter, checked_solve, over_bins
 from .stft import Spectrogram
 
 
@@ -38,8 +37,8 @@ class StackedObservation:
 
     Stacked row k is channel ``k % M`` at lag ``lags[k // M]``, zero where
     the lag runs off the start of the signal: a view of ``padded``, the
-    spectrogram front-padded with ``lags[-1]`` zero frames. The contiguous
-    (F, D, T) ``tilde`` is built on first use, by the Gram-forming updates.
+    spectrogram front-padded with ``lags[-1]`` zero frames. No (F, D, T)
+    tensor is held: the Gram-forming updates gather one bin block at a time.
     """
 
     spec: Spectrogram
@@ -59,15 +58,30 @@ class StackedObservation:
         start = self.lags[-1] - self.lags[k // self.n_channels]
         return (self.padded if of is None else of)[:, k % self.n_channels, start : start + self.spec.n_frames]
 
-    @cached_property
-    def tilde(self) -> np.ndarray:
-        """Contiguous stacked tensor, (F, D, T)."""
-        return np.stack([self.row(k) for k in range(self.dim)], axis=1)
+    def gather(self, padded: np.ndarray, past: bool = False) -> np.ndarray:
+        """The stacked rows of a bin block of ``padded``, (B, D, T), or only the delayed ones, (B, D - M, T):
+        one copied slice per lag group of M rows; at zero taps the block itself, uncopied."""
+        lags = self.lags[1:] if past else self.lags
+        if lags == (0,):
+            return padded
+        m, t, last = self.n_channels, self.spec.n_frames, self.lags[-1]
+        rows = np.empty((len(padded), m * len(lags), t), dtype=padded.dtype)
+        for i, lag in enumerate(lags):
+            rows[:, i * m : (i + 1) * m] = padded[:, :, last - lag : last - lag + t]
+        return rows
 
-    @property
-    def past(self) -> np.ndarray:
-        """View of the delayed block rows, shape (F, n_channels*taps, T)."""
-        return self.tilde[:, self.n_channels :, :]
+    def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
+        """Per bin block, ``out = filters @ rows`` for (F, N, D) filters, or with ``past`` the
+        prediction of (F, N, D - M) filters subtracted, ``out -= filters @ past``; returns ``out``."""
+
+        def product_block(padded, filters, out):
+            product = np.matmul(filters, self.gather(padded, past), out=None if past else out)
+            if past:
+                out -= product
+
+        working = (1 + len(self.lags) - past) * self.padded.nbytes + 2 * out.nbytes  # padded, rows, out, product
+        over_bins(product_block, len(out), working, self.padded, filters, out)
+        return out
 
 
 def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
@@ -126,7 +140,7 @@ def demix(dm: ExtendedDemixer, sx: StackedObservation) -> Spectrogram:
     """Apply the free rows of the filter: outputs (F, N, T)."""
     if dm.dim != sx.dim or dm.n_channels != sx.n_channels:
         raise ValueError("demixer and stacked observation shapes do not match")
-    return Spectrogram(dm.top @ sx.tilde, sx.spec.config, sx.spec.n_samples)
+    return Spectrogram(sx.apply(dm.top, np.empty_like(sx.spec.data)), sx.spec.config, sx.spec.n_samples)
 
 
 def split_filter(

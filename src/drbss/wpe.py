@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve
+from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve, over_bins
 from .nmf import model_cost
+from .separation import weighted_gram
 from .stacking import StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
 
@@ -30,12 +31,17 @@ def wpe_filter_update(
     One (loaded) normal-equation solve per frequency, shared by all
     channels. Returns the (F, M, M*taps) coefficients.
     """
-    past = sx.past
+    n_bins, m, _ = sx.spec.data.shape
     inv = 1.0 / variances  # (F, T)
-    weighted = past.conj()  # shared by both products; conj(x) conj(y) == conj(x y) exactly
-    weighted *= inv[:, None, :]
-    normal = np.conj(weighted @ past.swapaxes(1, 2))  # (F, NL, NL)
-    rhs = np.conj(weighted @ sx.spec.data.swapaxes(1, 2))  # (F, NL, M)
+    normal = np.empty((n_bins, sx.dim - m, sx.dim - m), dtype=np.complex128)
+    rhs = np.empty((n_bins, sx.dim - m, m), dtype=np.complex128)
+
+    def prediction_block(padded, data, inv, normal, rhs):  # one gather of the delayed rows per bin block
+        weighted = weighted_gram(sx.gather(padded, past=True), inv[:, None], normal[:, None])
+        np.conj(np.matmul(weighted, data.swapaxes(1, 2), out=rhs), out=rhs)  # shares the weighted copy
+
+    working = (2 * len(sx.lags) - 1) * sx.padded.nbytes + sx.spec.data.nbytes + inv.nbytes
+    over_bins(prediction_block, n_bins, working, sx.padded, sx.spec.data, inv, normal, rhs)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 
@@ -43,7 +49,7 @@ def wpe_filter_update(
 def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:
     """Subtract the late reverberation ``coeffs`` predict from the observation."""
     spec = sx.spec
-    return Spectrogram(spec.data - coeffs @ sx.past, spec.config, spec.n_samples)
+    return Spectrogram(sx.apply(coeffs, spec.data.copy(), past=True), spec.config, spec.n_samples)
 
 
 def wpe_objective(dereverbed: np.ndarray, variances: np.ndarray) -> float:

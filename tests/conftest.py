@@ -1,14 +1,21 @@
-"""Shared fixtures: seeded desk-scale mixtures and iteration histories."""
+"""Shared fixtures: seeded desk-scale mixtures, iteration histories and stacking oracles."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drbss import (
     AlgorithmVariant,
+    ExtendedDemixer,
+    Spectrogram,
+    StackedObservation,
     StftConfig,
     SyntheticRoomConfig,
     TapConfig,
     analyze,
+    build_stacked,
+    demix,
     make_sources,
     mix,
     run,
@@ -46,6 +53,34 @@ def desk_mixture(seed, n_sources=2, n_samples=DESK_SAMPLES, rt60=0.3, snr=1e4, *
 def desk_spectrogram(seed, frame_len=DESK_FRAME, hop=DESK_HOP, **kwargs):
     result = desk_mixture(seed, **kwargs)
     return analyze(result.mixture, StftConfig(frame_len, hop, FS))
+
+
+def stack_rows(sx):
+    """Oracle for the (F, D, T) stacked tensor: every stacked row ``sx.row(k)``, stacked one by one."""
+    return np.stack([sx.row(k) for k in range(sx.dim)], axis=1)
+
+
+def zero_tap_stack(x):
+    """Plain (F, M, T) vectors as a zero-tap stacked observation, whose stacked rows they are.
+
+    A ``Spectrogram`` needs an STFT's bin count, so only the two shape fields the
+    stacking reads are given.
+    """
+    return StackedObservation(SimpleNamespace(n_channels=x.shape[1], n_frames=x.shape[2]), (0,), x)
+
+
+def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):
+    """The benchmark's engine shape: F=129, T=316, N=3, TapConfig(5, 2)."""
+    rng = np.random.default_rng(seed)
+    shape = (n_bins, n_src, n_frames)
+    spec = Spectrogram(
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), StftConfig(256, 64, 8000)
+    )
+    sx = build_stacked(spec, TapConfig(5, 2))
+    dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(5, 2))
+    dm.matrix[:, :n_src, :] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
+    variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
+    return spec, sx, dm, variances, demix(dm, sx).data
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from drbss import (
     variance,
 )
 from drbss import linalg, nmf
-from tests.conftest import FS, TAPPED_VARIANTS, desk_mixture, desk_spectrogram
+from tests.conftest import FS, TAPPED_VARIANTS, desk_mixture, desk_spectrogram, stack_rows
 
 SMALL_TAPS = TapConfig(2, 2)
 
@@ -280,7 +280,7 @@ def test_maintained_outputs_match_fresh_demix():
     """Every step updates the outputs in place, consistent with a fresh demix, and returns None."""
     spec = small_spec(10)
     sx = build_stacked(spec, SMALL_TAPS)
-    n = spec.n_channels
+    n, tilde = spec.n_channels, stack_rows(sx)
     for step in (ilrma_t_ip_iteration, ilrma_t_iss_joint_iteration, ilrma_t_iss_seq_iteration):
         dm = ExtendedDemixer.identity(spec.n_bins, n, SMALL_TAPS)
         model = init_model(n, 2, spec.n_bins, spec.n_frames, seed=10)
@@ -290,7 +290,7 @@ def test_maintained_outputs_match_fresh_demix():
         for _ in range(5):
             assert step(dm, sx, 1.0 / variances, outputs, SolveCounter()) is None
             assert outputs is buffer
-            fresh = dm.top @ sx.tilde
+            fresh = dm.top @ tilde
             assert np.abs(outputs - fresh).max() <= 1e-10, step.__name__
             variances = nmf_update(model, np.abs(outputs) ** 2, variances)
 

@@ -16,14 +16,18 @@ from drbss import (
     ExtendedDemixer,
     SolveCounter,
     TapConfig,
+    build_stacked,
     cost,
     init_model,
     linalg,
     nmf_update,
     run,
     variance,
+    wpe_dereverb,
+    wpe_filter_update,
 )
-from tests.conftest import desk_spectrogram
+from drbss.ilrma_t import _joint_tap_update, ilrma_t_ip_iteration
+from tests.conftest import desk_spectrogram, normal_equation_instance, stack_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402  (the benchmark's layer tracer)
@@ -141,6 +145,32 @@ def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool
         assert extra < power.nbytes
 
 
+def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool):
+    """In blocks, the IP step, the joint tap update and WPE gather their rows per bin block:
+    each allocates less than one (F, D, T) stacked tensor beyond its inputs."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    spec, sx, dm, variances, outputs = normal_equation_instance()
+    tilde_bytes = stack_rows(sx).nbytes
+    inv = 1.0 / variances
+    ilrma_t_ip_iteration(dm, sx, inv, outputs.copy())  # starts the pool's thread
+    steps = (
+        lambda stacked: ilrma_t_ip_iteration(dm, stacked, inv, outputs),
+        lambda stacked: _joint_tap_update(dm, stacked, inv, outputs),
+        lambda stacked: wpe_dereverb(wpe_filter_update(variances[:, 0], stacked), stacked),
+    )
+    for step in steps:
+        stacked = build_stacked(spec, TapConfig(5, 2))  # nothing is cached from an earlier step
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            step(stacked)
+            extra = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert extra < tilde_bytes
+
+
 class ThreadTracer(spans.Tracer):
     """The benchmark's tracer, also noting the thread that enters each layer."""
 
@@ -163,9 +193,21 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
             AlgorithmVariant.ILRMA_T_IP,
             AlgorithmVariant.ILRMA_T_ISS_JOINT,
             AlgorithmVariant.ILRMA_T_ISS_SEQ,
+            AlgorithmVariant.WPE,
+            AlgorithmVariant.WPE_ILRMA_IP,
         ):
             run(variant, spec, iterations=3, taps=TAPS)
-    assert {"sweep", "_iss_block", "_gram_block", "bases_block", "activations_block", "_model_term"} <= pool.kernels
+    assert {
+        "sweep",
+        "_iss_block",
+        "cov_block",
+        "normal_block",
+        "prediction_block",
+        "product_block",
+        "bases_block",
+        "activations_block",
+        "_model_term",
+    } <= pool.kernels
     layers = {layer for layer, _ in tracer.threads}
     assert {
         "separation.weighted_cov",
@@ -174,6 +216,8 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
         "nmf.update",
         "nmf.variance",
         "ilrma_t.cost",
+        "wpe.filter_update",
+        "wpe.dereverb",
     } <= layers
     main = threading.main_thread().name
     assert [entry for entry in tracer.threads if entry[1] != main] == []

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drbss import NumericalError
+from drbss import NumericalError, linalg
 from drbss.ilrma_t import _joint_tap_update, cost
 from drbss.linalg import add_loading, checked_solve
 from drbss.separation import (
@@ -14,10 +14,11 @@ from drbss.separation import (
     iss_source_sweep,
     iss_update_source,
     weighted_cov,
+    weighted_gram,
 )
-from drbss.stacking import ExtendedDemixer, TapConfig, build_stacked, demix
-from drbss.stft import Spectrogram, StftConfig
+from drbss.stacking import ExtendedDemixer, TapConfig
 from drbss.wpe import wpe_filter_update
+from tests.conftest import normal_equation_instance, stack_rows, zero_tap_stack
 
 
 def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
@@ -32,7 +33,7 @@ def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
 def test_weighted_cov_oracle():
     v = np.array([[[1.0 + 0j, 2.0], [1j, 0.0]]])  # (1, 2, 2)
     w = np.array([[1.0, 2.0]])
-    got = weighted_cov(v, 1.0 / w)
+    got = weighted_cov(zero_tap_stack(v), 1.0 / w[:, None, :])[:, 0]
     want = (
         np.outer(v[0, :, 0], v[0, :, 0].conj()) / 1.0
         + np.outer(v[0, :, 1], v[0, :, 1].conj()) / 2.0
@@ -43,15 +44,16 @@ def test_weighted_cov_oracle():
 
 def test_weighted_cov_zero_frames():
     with pytest.raises(ValueError):
-        weighted_cov(np.zeros((1, 2, 0), dtype=complex), np.zeros((1, 0)))
+        weighted_cov(zero_tap_stack(np.zeros((1, 2, 0), dtype=complex)), np.zeros((1, 1, 0)))
 
 
 def test_ip_row_is_unit_norm_under_its_covariance():
     """Each updated row w satisfies w^T G conj(w) = 1."""
     x, variances = random_instance(0)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
+    covs = weighted_cov(zero_tap_stack(x), 1.0 / variances)
     for n in range(2):
-        g = add_loading(weighted_cov(x, 1.0 / variances[:, n]))
+        g = add_loading(covs[:, n])
         ip_update_row(dm.matrix, g, n, 2)
         w = dm.matrix[:, n, :]
         q = np.einsum("fd,fde,fe->f", w, g, w.conj())
@@ -66,9 +68,9 @@ def test_ip_sweeps_decrease_cost_at_fixed_variances():
     outputs = dm.top @ x
     values = [cost(dm, np.abs(outputs) ** 2, variances)]
     for _ in range(20):
-        covs = [add_loading(weighted_cov(x, 1.0 / variances[:, n])) for n in range(n_src)]
+        covs = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances))
         for n in range(n_src):
-            ip_update_row(dm.matrix, covs[n], n, n_src)
+            ip_update_row(dm.matrix, covs[:, n], n, n_src)
         outputs = dm.top @ x
         values.append(cost(dm, np.abs(outputs) ** 2, variances))
     diffs = np.diff(values)
@@ -81,9 +83,9 @@ def test_ip_fixed_point_resists_row_perturbations():
     n_bins, n_src, _ = x.shape
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     for _ in range(200):
-        covs = [add_loading(weighted_cov(x, 1.0 / variances[:, n])) for n in range(n_src)]
+        covs = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances))
         for n in range(n_src):
-            ip_update_row(dm.matrix, covs[n], n, n_src)
+            ip_update_row(dm.matrix, covs[:, n], n, n_src)
     base = cost(dm, np.abs(dm.top @ x) ** 2, variances)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -100,7 +102,7 @@ def test_ip_singular_block_raises():
     x, variances = random_instance(4)
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     dm.matrix[1, :2, :2] = 0.0
-    g = add_loading(weighted_cov(x, 1.0 / variances[:, 0]))
+    g = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances)[:, 0])
     with pytest.raises(NumericalError, match="frequency bin 1"):
         ip_update_row(dm.matrix, g, 0, 2)
 
@@ -136,12 +138,13 @@ def test_iss_signal_form_matches_covariance_form():
     )
     w += 2.0 * np.eye(n_src)
     outputs = w @ x
+    covs = weighted_cov(zero_tap_stack(x), 1.0 / variances)
     for pivot in range(n_src):
         got = iss_coefficients(outputs, 1.0 / variances, pivot)
         want = np.empty_like(got)
         for f in range(n_bins):
             for m in range(n_src):
-                g = weighted_cov(x[f : f + 1], 1.0 / variances[f : f + 1, m])[0]
+                g = covs[f, m]
                 num = w[f, m] @ g @ w[f, pivot].conj()
                 den = w[f, pivot] @ g @ w[f, pivot].conj()
                 if m == pivot:
@@ -186,20 +189,6 @@ def test_iss_zero_pivot_stays_finite():
     assert np.all(np.isfinite(outputs))
 
 
-def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):
-    """The benchmark's engine shape: F=129, T=316, N=3, TapConfig(5, 2)."""
-    rng = np.random.default_rng(seed)
-    shape = (n_bins, n_src, n_frames)
-    spec = Spectrogram(
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape), StftConfig(256, 64, 8000)
-    )
-    sx = build_stacked(spec, TapConfig(5, 2))
-    dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(5, 2))
-    dm.matrix[:, :n_src, :] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
-    variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
-    return spec, sx, dm, variances, demix(dm, sx).data
-
-
 def peak_traced_bytes(fn):
     tracemalloc.start()
     try:
@@ -209,27 +198,36 @@ def peak_traced_bytes(fn):
         tracemalloc.stop()
 
 
-def test_normal_equation_builders_hold_one_operand_sized_temporary():
-    """Peak allocation stays within 1.5x the (F, D, T) operand."""
+def test_normal_equation_builders_hold_one_operand_sized_temporary(monkeypatch):
+    """In bin blocks, peak allocation stays below the (F, D, T) operand they gather."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 16)
     spec, sx, dm, variances, outputs = normal_equation_instance()
-    past_bytes = sx.past.nbytes
-    joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, 1.0 / variances, outputs))
-    cov = peak_traced_bytes(lambda: weighted_cov(sx.tilde, 1.0 / variances[:, 0]))
+    inv = 1.0 / variances
+    tilde = stack_rows(sx)
+    tilde_bytes, past_bytes = tilde.nbytes, tilde[:, dm.n_channels :].nbytes
+    joint = peak_traced_bytes(lambda: _joint_tap_update(dm, sx, inv, outputs))
+    cov = peak_traced_bytes(lambda: weighted_cov(sx, inv))
     wpe = peak_traced_bytes(lambda: wpe_filter_update(variances[:, 0], sx))
-    assert joint <= 1.5 * past_bytes
-    assert cov <= 1.5 * sx.tilde.nbytes
-    assert wpe <= 1.5 * past_bytes
+    assert joint < past_bytes
+    assert cov < tilde_bytes
+    assert wpe < past_bytes
 
 
 def test_normal_equation_builders_are_bit_identical_to_direct_products():
     """Oracles: the weighted operand times the conjugated one, as written."""
     spec, sx, dm, variances, outputs = normal_equation_instance(seed=1)
-    for vectors in (sx.tilde, sx.past):  # contiguous and strided
-        inv = 1.0 / variances[:, 0]
-        want = (vectors * inv[:, None, :]) @ vectors.conj().swapaxes(1, 2) / vectors.shape[2]
-        assert np.array_equal(weighted_cov(vectors, inv), want)
+    tilde, n = stack_rows(sx), dm.n_channels
+    past = tilde[:, n:]  # a strided view
+    covs = weighted_cov(sx, 1.0 / variances)
+    grams = np.empty_like(covs[:, :, n:, n:])
+    weighted_gram(sx.gather(sx.padded, past=True), 1.0 / variances, grams)
+    for m in range(n):  # all rows, contiguous, and the delayed rows, strided
+        inv = 1.0 / variances[:, m]
+        want = (tilde * inv[:, None, :]) @ tilde.conj().swapaxes(1, 2) / tilde.shape[2]
+        assert np.array_equal(covs[:, m], want)
+        assert np.array_equal(grams[:, m], (past * inv[:, None, :]) @ past.conj().swapaxes(1, 2))
 
-    past, n = sx.past, dm.n_channels
     inv = 1.0 / variances
     weighted = past[:, None, :, :] * inv[:, :, None, :]  # (F, N, NL, T)
     normal = weighted @ past.conj().swapaxes(1, 2)[:, None, :, :]

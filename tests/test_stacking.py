@@ -14,6 +14,7 @@ from drbss import (
     demix,
     split_filter,
 )
+from tests.conftest import stack_rows
 
 CFG = StftConfig(256, 128, 8000)
 
@@ -38,8 +39,9 @@ def test_zero_taps_is_just_the_input():
     spec = random_spec(0)
     sx = build_stacked(spec, TapConfig(0, 2))
     assert sx.dim == spec.n_channels
-    assert sx.past.shape == (CFG.n_bins, 0, spec.n_frames)
-    assert np.array_equal(sx.tilde, spec.data)
+    assert sx.gather(sx.padded, past=True).shape == (CFG.n_bins, 0, spec.n_frames)
+    assert np.array_equal(stack_rows(sx), spec.data)
+    assert sx.gather(sx.padded) is sx.padded is spec.data  # nothing to copy
 
 
 def test_delay_blocks_and_zero_fill():
@@ -47,25 +49,29 @@ def test_delay_blocks_and_zero_fill():
     x = spec.data
     sx = build_stacked(spec, TapConfig(2, 2))
     assert sx.dim == 6
+    tilde = stack_rows(sx)
     # frame 4 sees lags 2 and 3; frame 1 sees neither
-    assert np.array_equal(sx.tilde[:, 0:2, 4], x[:, :, 4])
-    assert np.array_equal(sx.tilde[:, 2:4, 4], x[:, :, 2])
-    assert np.array_equal(sx.tilde[:, 4:6, 4], x[:, :, 1])
-    assert np.array_equal(sx.tilde[:, 2:6, 1], np.zeros((CFG.n_bins, 4)))
+    assert np.array_equal(tilde[:, 0:2, 4], x[:, :, 4])
+    assert np.array_equal(tilde[:, 2:4, 4], x[:, :, 2])
+    assert np.array_equal(tilde[:, 4:6, 4], x[:, :, 1])
+    assert np.array_equal(tilde[:, 2:6, 1], np.zeros((CFG.n_bins, 4)))
     # lag 2 starts contributing at frame 2
-    assert np.array_equal(sx.tilde[:, 2:4, 2], x[:, :, 0])
+    assert np.array_equal(tilde[:, 2:4, 2], x[:, :, 0])
 
 
 def test_past_is_a_view():
-    """Every stacked row is a view of the one padded copy; past views tilde."""
+    """Every stacked row is a view of the one padded copy; a bin block's gather copies its rows."""
     spec = random_spec(2)
     sx = build_stacked(spec, TapConfig(3, 2))
     assert sx.lags == (0, 2, 3, 4)
     assert sx.padded.shape == (CFG.n_bins, 2, spec.n_frames + 4)
+    rows = sx.gather(sx.padded)
     for k in range(sx.dim):
         assert np.shares_memory(sx.row(k), sx.padded)
-        assert np.array_equal(sx.row(k), sx.tilde[:, k, :])
-    assert np.shares_memory(sx.past, sx.tilde)
+        assert np.array_equal(sx.row(k), rows[:, k, :])
+    past = sx.gather(sx.padded[3:7], past=True)
+    assert np.array_equal(past, stack_rows(sx)[3:7, 2:])
+    assert past.flags.c_contiguous and not np.shares_memory(past, sx.padded)
     assert not np.shares_memory(sx.padded, spec.data)
 
 
@@ -116,9 +122,10 @@ def test_demix_matches_naive_loop():
         rng.standard_normal((spec.n_bins, 2, 6)) + 1j * rng.standard_normal((spec.n_bins, 2, 6))
     )
     out = demix(dm, sx).data
+    tilde = stack_rows(sx)
     for f in (0, 7, spec.n_bins - 1):
         for t in range(6):
-            want = dm.matrix[f, :2, :] @ sx.tilde[f, :, t]
+            want = dm.matrix[f, :2, :] @ tilde[f, :, t]
             assert np.allclose(out[f, :, t], want, atol=1e-14)
 
 
