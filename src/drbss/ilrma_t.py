@@ -171,13 +171,11 @@ def _joint_tap_update(
     normal = np.empty((dm.n_bins, n, n_lags, n_lags), dtype=np.complex128)
     rhs = np.empty((dm.n_bins, n, n_lags), dtype=np.complex128)
 
-    def normal_block(padded, inv, outputs, normal, rhs):  # one gather of the delayed rows per bin block
-        past = sx.gather(padded, past=True)
+    def normal_block(past, inv, outputs, normal, rhs):
         weighted_gram(past, inv, normal)
         np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past, out=rhs)
 
-    working = (2 * len(sx.lags) - 1) * sx.padded.nbytes + inv.nbytes + 3 * outputs.nbytes  # and 2 temporaries
-    over_bins(normal_block, dm.n_bins, working, sx.padded, inv, outputs, normal, rhs)
+    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs)  # and 2 temporaries
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
     dm.matrix[:, :n, n:] -= gains

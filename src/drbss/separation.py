@@ -39,12 +39,11 @@ def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
         raise ValueError("cannot average a covariance over zero frames")
     out = np.empty((n_bins, n_src, sx.dim, sx.dim), dtype=np.complex128)
 
-    def cov_block(padded, inv, out):
-        weighted_gram(sx.gather(padded), inv, out)
+    def cov_block(rows, inv, out):
+        weighted_gram(rows, inv, out)
         out /= n_frames
 
-    working = (1 + 2 * len(sx.lags)) * sx.padded.nbytes + inv.nbytes  # padded, its rows, their weighted copy
-    over_bins(cov_block, n_bins, working, sx.padded, inv, out)
+    sx.over_blocks(cov_block, False, inv.nbytes, inv, out)
     return out
 
 

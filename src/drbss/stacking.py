@@ -10,10 +10,12 @@ leading separation block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
-from .linalg import SolveCounter, checked_solve, over_bins
+from . import linalg
+from .linalg import SolveCounter, checked_solve
 from .stft import Spectrogram
 
 
@@ -70,17 +72,29 @@ class StackedObservation:
             rows[:, i * m : (i + 1) * m] = padded[:, :, last - lag : last - lag + t]
         return rows
 
-    def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
-        """Per bin block, ``out = filters @ rows`` for (F, N, D) filters, or with ``past`` the
-        prediction of (F, N, D - M) filters subtracted, ``out -= filters @ past``; returns ``out``."""
+    def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray) -> None:
+        """``over_bins`` for ``kernel(rows, *blocks)``, ``rows`` a block's ``gather`` and ``blocks`` its slices of
+        ``arrays``; ``extra_bytes`` is what it touches besides ``padded``, the gather and one gather-sized scratch.
+        Run inline, it still gathers one ``BLOCK_BYTES`` slice of bins at a time: no call holds every bin's rows."""
+        working = (1 + 2 * (len(self.lags) - past)) * self.padded.nbytes + extra_bytes
+        width = -(-len(self.padded) * linalg.BLOCK_BYTES // working)  # bins per gather
 
-        def product_block(padded, filters, out):
-            product = np.matmul(filters, self.gather(padded, past), out=None if past else out)
+        @wraps(kernel)
+        def gathered(padded, *blocks):
+            for lo in range(0, len(padded), width):
+                kernel(self.gather(padded[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
+
+        linalg.over_bins(gathered, len(self.padded), working, self.padded, *arrays)
+
+    def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
+        """Per bin block, ``out = filters @ rows``, or with ``past`` ``out -= filters @ past_rows``; returns ``out``."""
+
+        def product_block(rows, filters, out):
+            product = np.matmul(filters, rows, out=None if past else out)
             if past:
                 out -= product
 
-        working = (1 + len(self.lags) - past) * self.padded.nbytes + 2 * out.nbytes  # padded, rows, out, product
-        over_bins(product_block, len(out), working, self.padded, filters, out)
+        self.over_blocks(product_block, past, out.nbytes, filters, out)
         return out
 
 

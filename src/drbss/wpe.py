@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve, over_bins
+from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve
 from .nmf import model_cost
 from .separation import weighted_gram
 from .stacking import StackedObservation, TapConfig, build_stacked
@@ -36,12 +36,11 @@ def wpe_filter_update(
     normal = np.empty((n_bins, sx.dim - m, sx.dim - m), dtype=np.complex128)
     rhs = np.empty((n_bins, sx.dim - m, m), dtype=np.complex128)
 
-    def prediction_block(padded, data, inv, normal, rhs):  # one gather of the delayed rows per bin block
-        weighted = weighted_gram(sx.gather(padded, past=True), inv[:, None], normal[:, None])
+    def prediction_block(past, data, inv, normal, rhs):
+        weighted = weighted_gram(past, inv[:, None], normal[:, None])
         np.conj(np.matmul(weighted, data.swapaxes(1, 2), out=rhs), out=rhs)  # shares the weighted copy
 
-    working = (2 * len(sx.lags) - 1) * sx.padded.nbytes + sx.spec.data.nbytes + inv.nbytes
-    over_bins(prediction_block, n_bins, working, sx.padded, sx.spec.data, inv, normal, rhs)
+    sx.over_blocks(prediction_block, True, sx.spec.data.nbytes + inv.nbytes, sx.spec.data, inv, normal, rhs)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 

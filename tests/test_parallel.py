@@ -145,11 +145,12 @@ def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool
         assert extra < power.nbytes
 
 
-def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool):
-    """In blocks, the IP step, the joint tap update and WPE gather their rows per bin block:
-    each allocates less than one (F, D, T) stacked tensor beyond its inputs."""
-    monkeypatch.setattr(linalg, "WORKERS", 2)
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+@pytest.mark.parametrize("workers", [2, 8])
+def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool, workers):
+    """The IP step, the joint tap update and WPE gather their rows per bin block: each
+    allocates less than one (F, D, T) stacked tensor beyond its inputs. At this shape
+    2 workers run the blocks on the pool, and 8 run them inline on the calling thread."""
+    monkeypatch.setattr(linalg, "WORKERS", workers)
     spec, sx, dm, variances, outputs = normal_equation_instance()
     tilde_bytes = stack_rows(sx).nbytes
     inv = 1.0 / variances

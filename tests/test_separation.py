@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drbss import NumericalError, linalg
+from drbss import NumericalError
 from drbss.ilrma_t import _joint_tap_update, cost
 from drbss.linalg import add_loading, checked_solve
 from drbss.separation import (
@@ -198,10 +198,8 @@ def peak_traced_bytes(fn):
         tracemalloc.stop()
 
 
-def test_normal_equation_builders_hold_one_operand_sized_temporary(monkeypatch):
-    """In bin blocks, peak allocation stays below the (F, D, T) operand they gather."""
-    monkeypatch.setattr(linalg, "WORKERS", 2)
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 16)
+def test_normal_equation_builders_hold_one_operand_sized_temporary():
+    """Peak allocation stays below the (F, D, T) operand the builders gather."""
     spec, sx, dm, variances, outputs = normal_equation_instance()
     inv = 1.0 / variances
     tilde = stack_rows(sx)
