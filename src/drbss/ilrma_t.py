@@ -175,7 +175,8 @@ def _joint_tap_update(
         weighted_gram(past, inv, normal)
         np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past, out=rhs)
 
-    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs)  # and 2 temporaries
+    # inv, outputs and the right-hand side's 2 temporaries
+    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs, pooled=True)
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
     dm.matrix[:, :n, n:] -= gains

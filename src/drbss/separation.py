@@ -43,7 +43,7 @@ def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
         weighted_gram(rows, inv, out)
         out /= n_frames
 
-    sx.over_blocks(cov_block, False, inv.nbytes, inv, out)
+    sx.over_blocks(cov_block, False, inv.nbytes, inv, out, pooled=True)
     return out
 
 

@@ -72,11 +72,14 @@ class StackedObservation:
             rows[:, i * m : (i + 1) * m] = padded[:, :, last - lag : last - lag + t]
         return rows
 
-    def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray) -> None:
-        """``over_bins`` for ``kernel(rows, *blocks)``, ``rows`` a block's ``gather`` and ``blocks`` its slices of
-        ``arrays``; ``extra_bytes`` is what it touches besides ``padded``, the gather and one gather-sized scratch.
-        Run inline, it still gathers one ``BLOCK_BYTES`` slice of bins at a time: no call holds every bin's rows."""
-        working = (1 + 2 * (len(self.lags) - past)) * self.padded.nbytes + extra_bytes
+    def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray, pooled: bool = False) -> None:
+        """``kernel(rows, *blocks)`` per ``BLOCK_BYTES`` slice of bins, ``rows`` a slice's ``gather`` and ``blocks``
+        its slices of ``arrays``; ``extra_bytes`` is what it touches besides ``padded``, the gather and one
+        gather-sized scratch. On the calling thread, unless ``pooled`` lets ``over_bins`` share bin blocks with the
+        pool: the Gram steps with one weight track per source take it, while the products and WPE's one-track Gram
+        gain too little from the pool to wait on a second CPU. No call holds every bin's rows."""
+        uncopied = self.lags == (0,)  # at zero taps the gather is the block itself
+        working = (1 + 2 * (len(self.lags) - past) - uncopied) * self.padded.nbytes + extra_bytes
         width = -(-len(self.padded) * linalg.BLOCK_BYTES // working)  # bins per gather
 
         @wraps(kernel)
@@ -84,10 +87,13 @@ class StackedObservation:
             for lo in range(0, len(padded), width):
                 kernel(self.gather(padded[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
 
-        linalg.over_bins(gathered, len(self.padded), working, self.padded, *arrays)
+        if pooled:
+            linalg.over_bins(gathered, len(self.padded), working, self.padded, *arrays)
+        else:
+            gathered(self.padded, *arrays)
 
     def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
-        """Per bin block, ``out = filters @ rows``, or with ``past`` ``out -= filters @ past_rows``; returns ``out``."""
+        """Per slice of bins, ``out = filters @ rows``, or with ``past`` ``out -= filters @ past_rows``; returns ``out``."""
 
         def product_block(rows, filters, out):
             product = np.matmul(filters, rows, out=None if past else out)

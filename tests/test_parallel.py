@@ -149,7 +149,8 @@ def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool
 def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool, workers):
     """The IP step, the joint tap update and WPE gather their rows per bin block: each
     allocates less than one (F, D, T) stacked tensor beyond its inputs. At this shape
-    2 workers run the blocks on the pool, and 8 run them inline on the calling thread."""
+    2 workers share the IP covariances' and the joint normal equations' blocks with the
+    pool, and 8 run them inline on the calling thread."""
     monkeypatch.setattr(linalg, "WORKERS", workers)
     spec, sx, dm, variances, outputs = normal_equation_instance()
     tilde_bytes = stack_rows(sx).nbytes
@@ -203,12 +204,11 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
         "_iss_block",
         "cov_block",
         "normal_block",
-        "prediction_block",
-        "product_block",
         "bases_block",
         "activations_block",
         "_model_term",
     } <= pool.kernels
+    assert not {"prediction_block", "product_block"} & pool.kernels  # these slice on the calling thread
     layers = {layer for layer, _ in tracer.threads}
     assert {
         "separation.weighted_cov",
