@@ -384,8 +384,9 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
         def checkpoint(iteration: int, outputs: np.ndarray, dm) -> None:
             if iteration % metric_every:
                 return
-            if iteration > 0 and config.variant != AlgorithmVariant.WPE.value:
-                outputs, _ = projection_back(dm, outputs)
+            if iteration > 0 and dm is not None:  # the run goes on with the live outputs
+                outputs = outputs.copy()
+                projection_back(dm, outputs)
             est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
             deltas[iteration] = mean_delta_si_sdr(refs, est, baseline)
 
@@ -515,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True, help="output directory")
 
     be = sub.add_parser("bench", help="run a variants x sources x seeds grid")
-    be.add_argument("matrix", help="JSON benchmark matrix")
+    be.add_argument("matrix_path", metavar="matrix", help="JSON benchmark matrix")
     be.add_argument("--out", required=True, help="output directory")
 
     return parser
@@ -535,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             cmd_eval(args.refs, args.estimates, args.mode, args.out, args.mixture)
         elif args.command == "bench":
-            cmd_bench(args.matrix, args.out)
+            cmd_bench(args.matrix_path, args.out)
     except SystemExit as exc:  # argparse's one-line errors (status 2) and --help (status 0)
         return exc.code
     except NumericalError as exc:

@@ -83,8 +83,8 @@ class CostTrace:
 class RunResult:
     outputs: Spectrogram
     trace: CostTrace
-    demixer: ExtendedDemixer
-    scales: np.ndarray | None = None
+    demixer: ExtendedDemixer | None  # None for plain dereverberation, which runs no demixer
+    scales: np.ndarray | None = None  # projection_back's (F, N) scales; None when it did not run
 
 
 def cost(dm: ExtendedDemixer, power: np.ndarray, variances: np.ndarray) -> float:
@@ -118,7 +118,7 @@ def ilrma_t_ip_iteration(
     """
     covs = weighted_cov(sx, inv)
     for n in range(dm.n_channels):
-        ip_update_row(dm.matrix, add_loading(covs[:, n]), n, dm.n_channels, counter)
+        ip_update_row(dm.top, add_loading(covs[:, n]), n, counter)
     sx.apply(dm.top, outputs)
 
 
@@ -179,7 +179,7 @@ def _joint_tap_update(
     sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs, pooled=True)
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
-    dm.matrix[:, :n, n:] -= gains
+    dm.top[:, :, n:] -= gains
     sx.apply(gains, outputs, past=True)
 
 
@@ -191,7 +191,7 @@ def ilrma_t_iss_seq_iteration(
     counter: SolveCounter | None = None,
 ) -> None:
     """Source-steering sweep, then scalar sweeps over every tap column, in place."""
-    iss_source_sweep(dm.matrix, outputs, inv)
+    iss_source_sweep(dm.top, outputs, inv)
     _steering_sweep_over_taps(dm, sx, inv, outputs)
 
 
@@ -203,7 +203,7 @@ def ilrma_t_iss_joint_iteration(
     counter: SolveCounter | None = None,
 ) -> None:
     """Source-steering sweep, then one exact block solve per tap row, in place."""
-    iss_source_sweep(dm.matrix, outputs, inv)
+    iss_source_sweep(dm.top, outputs, inv)
     _joint_tap_update(dm, sx, inv, outputs, counter)
 
 
@@ -242,22 +242,18 @@ def projection_back(
     dm: ExtendedDemixer,
     outputs: np.ndarray,
     counter: SolveCounter | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale each source to its image at the first channel.
+) -> np.ndarray:
+    """Rescale each source of the (F, N, T) ``outputs``, in place, to its image at the first channel.
 
-    Returns the scaled outputs, a new array (``outputs`` is not changed),
-    and the (F, N) scales.
+    Returns the (F, N) scales: entry (0, n) of the inverse separation block
+    for every source n, one transposed solve per frequency. A caller that
+    keeps the unscaled outputs projects a copy.
     """
-    scales = _projection_scales(dm, counter)
-    return outputs * scales[:, :, None], scales
-
-
-def _projection_scales(dm: ExtendedDemixer, counter: SolveCounter | None) -> np.ndarray:
-    """Entry (0, n) of the inverse separation block for every source n, shape (F, N):
-    one transposed solve per frequency."""
     rhs = np.zeros((dm.n_channels, 1), dtype=np.complex128)
     rhs[0, 0] = 1.0
-    return checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True)[..., 0]
+    scales = checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True)[..., 0]
+    outputs *= scales[:, :, None]
+    return scales
 
 
 def run(
@@ -276,13 +272,14 @@ def run(
     Every iteration hands ``1 / variances`` to the variant's filter
     update, which rewrites the outputs in place, then runs one
     multiplicative sweep of the variance model and appends the
-    objective. The final outputs are rescaled by projection back onto
-    the first channel (skipped for a zero-iteration run, which returns
-    the input unchanged, and for plain dereverberation).
+    objective. The final outputs are rescaled in place by
+    :func:`projection_back` (skipped for a zero-iteration run, which
+    returns the input unchanged, and for plain dereverberation).
 
     ``callback(iteration, outputs, demixer)`` is invoked at iteration 0
     and after every iteration with live arrays; callers must copy what
-    they keep.
+    they keep. Plain dereverberation has no demixer: the callback and
+    ``RunResult.demixer`` get None.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
@@ -318,10 +315,7 @@ def run(
         if callback is not None:
             callback(i + 1, outputs, dm)
 
-    scales = None
-    if iterations > 0:
-        scales = _projection_scales(dm, counter)
-        outputs *= scales[:, :, None]
+    scales = projection_back(dm, outputs, counter) if iterations > 0 else None
     out_spec = Spectrogram(outputs, work.config, work.n_samples)
     return RunResult(out_spec, trace, dm, scales)
 
@@ -333,8 +327,7 @@ def _run_wpe(
     counter: SolveCounter,
     callback=None,
 ) -> RunResult:
-    """Plain dereverberation: the trace carries the prediction objective."""
-    dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TapConfig(0, taps.delay))
+    """Plain dereverberation, with no demixer: the trace carries the prediction objective."""
     trace = CostTrace()
     started = time.perf_counter()
 
@@ -343,8 +336,8 @@ def _run_wpe(
         value = wpe_objective(dereverbed, variances)
         trace.record(value, counter.iteration_solves, started if i > 0 else None)
         if callback is not None:
-            callback(i, dereverbed, dm)
+            callback(i, dereverbed, None)
         started = time.perf_counter()
 
     out = wpe_run(spec, taps, iterations, counter, record)
-    return RunResult(out, trace, dm, None)
+    return RunResult(out, trace, None)

@@ -2,9 +2,9 @@
 
 Two exact row updates for the Gaussian determined-mixture objective:
 an iterative-projection step that solves two small systems per row, and
-an iterative source-steering step that is solve-free. Both operate on
-the leading rows of a (possibly extended) square demixing matrix and
-never touch the pinned tap rows.
+an iterative source-steering step that is solve-free. Both act on the
+free rows ``top``, (F, N, D), of a (possibly extended) demixing filter;
+only ``ExtendedDemixer`` knows about the pinned tap rows below them.
 """
 from __future__ import annotations
 
@@ -47,33 +47,24 @@ def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def ip_update_row(
-    matrix: np.ndarray,
-    cov: np.ndarray,
-    row: int,
-    n_channels: int,
-    counter: SolveCounter | None = None,
-) -> None:
-    """Iterative-projection update of one demixing row, in place.
+def ip_update_row(top: np.ndarray, cov: np.ndarray, row: int, counter: SolveCounter | None = None) -> None:
+    """Iterative-projection update of one free row of ``top``, (F, N, D), in place.
 
-    ``matrix`` is the (F, D, D) filter whose leading ``n_channels``
-    rows are free; ``cov`` is the diagonally loaded weighted covariance
-    of the stacked observation under the row's source variance. Exactly
-    two solves per frequency: one against the separation block, one
-    against the covariance.
+    ``cov`` is the diagonally loaded weighted covariance of the stacked
+    observation under the row's source variance. Exactly two solves per
+    frequency: one against the separation block, one against the covariance.
     """
-    n_bins, dim, _ = matrix.shape
-    n = n_channels
+    n_bins, n, dim = top.shape
     rhs = np.zeros((n, 1), dtype=np.complex128)
     rhs[row, 0] = 1.0
     a = np.zeros((n_bins, dim), dtype=np.complex128)  # zero over the tap columns
-    a[:, :n] = checked_solve(matrix[:, :n, :n], rhs, "separation block", counter)[..., 0]
+    a[:, :n] = checked_solve(top[:, :, :n], rhs, "separation block", counter)[..., 0]
     u = checked_solve(cov, a[..., None], "weighted covariance", counter)[..., 0]
     scale = np.einsum("fd,fd->f", a.conj(), u).real
     if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
         bad = int(np.flatnonzero((scale <= 0) | ~np.isfinite(scale))[0])
         raise NumericalError(f"non-positive projection norm at frequency bin {bad}")
-    matrix[:, row, :] = u.conj() / np.sqrt(scale)[:, None]
+    top[:, row, :] = u.conj() / np.sqrt(scale)[:, None]
 
 
 def steering_gains(
@@ -105,35 +96,25 @@ def iss_coefficients(outputs: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray
     return gains
 
 
-def iss_update_source(
-    matrix: np.ndarray,
-    outputs: np.ndarray,
-    inv: np.ndarray,
-    n: int,
-) -> None:
+def iss_update_source(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray, n: int) -> None:
     """Rank-1 source-steering update around pivot source ``n``, in place.
 
-    Subtracts ``gains[m] * row_n`` from every free row and keeps the
-    outputs consistent incrementally. No linear solves.
+    Subtracts ``gains[m] * row_n`` from every free row of ``top``,
+    (F, N, D), and keeps the outputs consistent incrementally. No linear solves.
     """
-    n_src = outputs.shape[1]
     gains = iss_coefficients(outputs, inv, n)
-    pivot_row = matrix[:, n, :].copy()
+    pivot_row = top[:, n, :].copy()
     pivot_out = outputs[:, n, :].copy()
-    matrix[:, :n_src, :] -= gains[:, :, None] * pivot_row[:, None, :]
+    top -= gains[:, :, None] * pivot_row[:, None, :]
     outputs -= gains[:, :, None] * pivot_out[:, None, :]
 
 
-def iss_source_sweep(
-    matrix: np.ndarray,
-    outputs: np.ndarray,
-    inv: np.ndarray,
-) -> None:
-    """One steering sweep over sources 0..N-1 under fixed (F, N, T) inverse variances."""
+def iss_source_sweep(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
+    """One steering sweep of the free rows ``top`` over sources 0..N-1 under fixed (F, N, T) inverse variances."""
     # per pivot it touches the outputs, their weighted copy and update, and inv
-    over_bins(_iss_block, outputs.shape[0], 3 * outputs.nbytes + inv.nbytes, matrix, outputs, inv)
+    over_bins(_iss_block, outputs.shape[0], 3 * outputs.nbytes + inv.nbytes, top, outputs, inv)
 
 
-def _iss_block(matrix: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
+def _iss_block(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
     for n in range(outputs.shape[1]):
-        iss_update_source(matrix, outputs, inv, n)
+        iss_update_source(top, outputs, inv, n)

@@ -5,7 +5,8 @@ frequency acting on the stacked vector [x_t; x_{t-delay}; ...;
 x_{t-delay-taps+1}]. Only the top ``n_channels`` rows of that filter are
 free parameters; the remaining rows are pinned to [0 I] so the filter
 stays invertible and its determinant equals the determinant of the
-leading separation block.
+leading separation block. Only ``ExtendedDemixer`` knows about the pinned
+rows: every kernel takes its free rows ``top`` or separation block ``mixing``.
 """
 from __future__ import annotations
 
@@ -171,9 +172,8 @@ def split_filter(
     W is the separation block and Zbar the implied multichannel linear
     prediction coefficients, shape (F, N, N*taps).
     """
-    n = dm.n_channels
-    w = dm.matrix[:, :n, :n]
-    tail = dm.matrix[:, :n, n:]
+    w = dm.mixing
+    tail = dm.top[:, :, dm.n_channels :]
     if tail.shape[2] == 0:
         return w.copy(), tail.copy()
     zbar = -checked_solve(w, tail, "separation block", counter)

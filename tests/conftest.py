@@ -78,7 +78,7 @@ def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):
     )
     sx = build_stacked(spec, TapConfig(5, 2))
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(5, 2))
-    dm.matrix[:, :n_src, :] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
+    dm.top[:] += 0.1 * rng.standard_normal((n_bins, n_src, sx.dim))
     variances = rng.uniform(0.1, 3.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
     return spec, sx, dm, variances, demix(dm, sx).data
 

@@ -64,7 +64,8 @@ def _run_all(spec):
     for variant in AlgorithmVariant:
         counter = SolveCounter()
         res = run(variant, spec, iterations=6, taps=TAPS, counter=counter)
-        results[variant] = (res.outputs.data, res.demixer.matrix, res.trace.costs, res.trace.cumulative_solves)
+        arrays = (res.outputs.data, res.trace.costs, res.trace.cumulative_solves)
+        results[variant] = arrays if res.demixer is None else (*arrays, res.demixer.matrix)  # wpe has none
     return results
 
 

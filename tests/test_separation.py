@@ -54,8 +54,8 @@ def test_ip_row_is_unit_norm_under_its_covariance():
     covs = weighted_cov(zero_tap_stack(x), 1.0 / variances)
     for n in range(2):
         g = add_loading(covs[:, n])
-        ip_update_row(dm.matrix, g, n, 2)
-        w = dm.matrix[:, n, :]
+        ip_update_row(dm.top, g, n)
+        w = dm.top[:, n, :]
         q = np.einsum("fd,fde,fe->f", w, g, w.conj())
         assert np.allclose(q.real, 1.0, atol=1e-12)
         assert np.allclose(q.imag, 0.0, atol=1e-12)
@@ -70,7 +70,7 @@ def test_ip_sweeps_decrease_cost_at_fixed_variances():
     for _ in range(20):
         covs = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances))
         for n in range(n_src):
-            ip_update_row(dm.matrix, covs[:, n], n, n_src)
+            ip_update_row(dm.top, covs[:, n], n)
         outputs = dm.top @ x
         values.append(cost(dm, np.abs(outputs) ** 2, variances))
     diffs = np.diff(values)
@@ -85,7 +85,7 @@ def test_ip_fixed_point_resists_row_perturbations():
     for _ in range(200):
         covs = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances))
         for n in range(n_src):
-            ip_update_row(dm.matrix, covs[:, n], n, n_src)
+            ip_update_row(dm.top, covs[:, n], n)
     base = cost(dm, np.abs(dm.top @ x) ** 2, variances)
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -104,7 +104,7 @@ def test_ip_singular_block_raises():
     dm.matrix[1, :2, :2] = 0.0
     g = add_loading(weighted_cov(zero_tap_stack(x), 1.0 / variances)[:, 0])
     with pytest.raises(NumericalError, match="frequency bin 1"):
-        ip_update_row(dm.matrix, g, 0, 2)
+        ip_update_row(dm.top, g, 0)
 
 
 def test_ip_nonpositive_projection_norm_raises():
@@ -112,16 +112,16 @@ def test_ip_nonpositive_projection_norm_raises():
     dm = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1))
     bad = np.broadcast_to(-np.eye(2, dtype=complex), (x.shape[0], 2, 2)).copy()
     with pytest.raises(NumericalError, match="non-positive projection norm"):
-        ip_update_row(dm.matrix, bad, 0, 2)
+        ip_update_row(dm.top, bad, 0)
 
 
 def test_iss_self_gain_normalizes_pivot():
     """After a pivot update its weighted power equals the frame count."""
     x, variances = random_instance(6)
     n_bins, n_src, n_frames = x.shape
-    matrix = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).matrix
+    top = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).top
     outputs = x.copy()
-    iss_update_source(matrix, outputs, 1.0 / variances, 0)
+    iss_update_source(top, outputs, 1.0 / variances, 0)
     weighted_power = np.einsum(
         "ft,ft->f", np.abs(outputs[:, 0, :]) ** 2, 1.0 / variances[:, 0]
     )
@@ -158,11 +158,11 @@ def test_iss_sweep_keeps_outputs_consistent():
     """Incrementally maintained outputs match a fresh multiply."""
     x, variances = random_instance(9)
     n_bins, n_src, _ = x.shape
-    matrix = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).matrix
+    top = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).top
     outputs = x.copy()
     for _ in range(5):
-        iss_source_sweep(matrix, outputs, 1.0 / variances)
-    fresh = matrix[:, :n_src, :] @ x
+        iss_source_sweep(top, outputs, 1.0 / variances)
+    fresh = top @ x
     assert np.abs(outputs - fresh).max() <= 1e-10
 
 
@@ -173,7 +173,7 @@ def test_iss_sweep_decreases_cost():
     outputs = x.copy()
     values = [cost(dm, np.abs(outputs) ** 2, variances)]
     for _ in range(20):
-        iss_source_sweep(dm.matrix, outputs, 1.0 / variances)
+        iss_source_sweep(dm.top, outputs, 1.0 / variances)
         values.append(cost(dm, np.abs(outputs) ** 2, variances))
     diffs = np.diff(values)
     assert np.all(diffs <= 1e-8 * np.maximum(1.0, np.abs(np.asarray(values[:-1]))))
@@ -182,10 +182,10 @@ def test_iss_sweep_decreases_cost():
 def test_iss_zero_pivot_stays_finite():
     x, variances = random_instance(11)
     x[:, 1, :] = 0.0
-    matrix = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1)).matrix
+    top = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1)).top
     outputs = x.copy()
-    iss_update_source(matrix, outputs, 1.0 / variances, 1)
-    assert np.all(np.isfinite(matrix))
+    iss_update_source(top, outputs, 1.0 / variances, 1)
+    assert np.all(np.isfinite(top))
     assert np.all(np.isfinite(outputs))
 
 
