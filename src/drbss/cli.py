@@ -25,10 +25,6 @@ from .stacking import TapConfig
 from .stft import Spectrogram, StftConfig, analyze, synthesize
 
 
-class ConfigError(ValueError):
-    """Bad config file, flag combination, or input layout."""
-
-
 @dataclass
 class RunConfig:
     """Flat, JSON-serializable settings for ``separate``."""
@@ -47,18 +43,15 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if type(value) is not type(f.default):
-                raise ConfigError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
+                raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
         AlgorithmVariant.from_name(self.variant)
         for name in ("iterations", "seed", "wpe_init_iters"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.n_bases < 1:
-            raise ConfigError("n_bases must be positive")
-        try:
-            StftConfig(self.frame_len, self.hop)
-            TapConfig(self.taps, self.delay)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ValueError("n_bases must be positive")
+        StftConfig(self.frame_len, self.hop)
+        TapConfig(self.taps, self.delay)
 
     def stft(self, sample_rate: int) -> StftConfig:
         return StftConfig(self.frame_len, self.hop, sample_rate)
@@ -67,7 +60,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**data)
 
 
@@ -75,9 +68,9 @@ def _load_json_dict(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
+        raise ValueError(f"{path}: expected a JSON object")
     return data
 
 
@@ -104,9 +97,9 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     else:
         arr = arr.T
     if arr.size == 0:
-        raise ConfigError(f"{path}: WAV has no samples")
+        raise ValueError(f"{path}: WAV has no samples")
     if not np.isfinite(arr).all():
-        raise ConfigError(f"{path}: WAV has non-finite samples")
+        raise ValueError(f"{path}: WAV has non-finite samples")
     return int(rate), arr
 
 
@@ -116,9 +109,9 @@ def _read_mono_wavs(paths: list[str | Path]) -> tuple[int, list[np.ndarray]]:
     for p in paths:
         file_rate, sig = read_wav(p)
         if sig.shape[0] != 1:
-            raise ConfigError(f"{p}: expected a mono WAV")
+            raise ValueError(f"{p}: expected a mono WAV")
         if rate is not None and file_rate != rate:
-            raise ConfigError(f"{p}: mixed sample rates ({file_rate} vs {rate} Hz); resampling is out of scope")
+            raise ValueError(f"{p}: mixed sample rates ({file_rate} vs {rate} Hz); resampling is out of scope")
         rate = file_rate
         signals.append(sig[0])
     return rate, signals
@@ -132,20 +125,17 @@ def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
     allowed = {f.name for f in fields(SyntheticRoomConfig)} | {"duration"}
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     data = dict(data)
     duration = data.pop("duration", 4.0)
     if type(duration) not in (int, float) or not 0 < duration < np.inf:
-        raise ConfigError(f"duration must be a positive finite number, got {duration!r}")
-    try:
-        if isinstance(data.get("snr"), str):
-            try:
-                data["snr"] = float(data["snr"])
-            except ValueError:
-                raise ConfigError(f"snr must be a number or 'inf', got {data['snr']!r}") from None
-        return SyntheticRoomConfig(**data), float(duration)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError(f"duration must be a positive finite number, got {duration!r}")
+    if isinstance(data.get("snr"), str):
+        try:
+            data["snr"] = float(data["snr"])
+        except ValueError:
+            raise ValueError(f"snr must be a number or 'inf', got {data['snr']!r}") from None
+    return SyntheticRoomConfig(**data), float(duration)
 
 
 def cmd_simulate(
@@ -157,7 +147,7 @@ def cmd_simulate(
     """Write mixture.wav, reference WAVs, and meta.json under ``out_dir``."""
     if wav_paths:
         if len(wav_paths) != cfg.n_sources:
-            raise ConfigError(f"expected {cfg.n_sources} source WAVs, got {len(wav_paths)}")
+            raise ValueError(f"expected {cfg.n_sources} source WAVs, got {len(wav_paths)}")
         rate, signals = _read_mono_wavs(wav_paths)
         cfg = replace(cfg, sample_rate=rate)
         n_samples = min(s.size for s in signals)
@@ -271,10 +261,10 @@ def _write_report(
 def _load_source_dir(directory: Path) -> tuple[int, np.ndarray]:
     paths = sorted(directory.glob("*.wav"))
     if not paths:
-        raise ConfigError(f"no WAV files in {directory}")
+        raise ValueError(f"no WAV files in {directory}")
     rate, rows = _read_mono_wavs(paths)
     if len({r.size for r in rows}) != 1:
-        raise ConfigError(f"{directory}: mixed signal lengths")
+        raise ValueError(f"{directory}: mixed signal lengths")
     return rate, np.stack(rows)
 
 
@@ -287,7 +277,7 @@ def cmd_eval(
 ) -> dict:
     """Score estimates; write metrics.json and metrics.csv to ``out_dir``."""
     if mode not in ("direct-path", "anechoic"):
-        raise ConfigError("mode must be 'direct-path' or 'anechoic'")
+        raise ValueError("mode must be 'direct-path' or 'anechoic'")
     root = Path(refs_dir)
     sub = "direct" if mode == "direct-path" else "anechoic"
     if (root / "refs" / sub).is_dir():
@@ -301,15 +291,15 @@ def cmd_eval(
         default_mix = root.parent / "mixture.wav"
     mix_path = Path(mixture_path) if mixture_path is not None else default_mix
     if not mix_path.is_file():
-        raise ConfigError(f"mixture WAV not found at {mix_path}; pass --mixture")
+        raise ValueError(f"mixture WAV not found at {mix_path}; pass --mixture")
 
     rate_r, refs = _load_source_dir(ref_sub)
     rate_e, ests = _load_source_dir(Path(estimates_dir))
     rate_m, mixture = read_wav(mix_path)
     if len({rate_r, rate_e, rate_m}) != 1:
-        raise ConfigError("references, estimates, and mixture have different sample rates")
+        raise ValueError("references, estimates, and mixture have different sample rates")
     if refs.shape[0] != ests.shape[0]:
-        raise ConfigError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
+        raise ValueError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
     report = evaluate(refs, ests, mixture, rate_r)
 
     scores = {k: v for k, v in asdict(report).items() if k != "permutation"}
@@ -353,13 +343,13 @@ def _load_matrix(path: str | Path) -> dict:
     data = _load_json_dict(path)
     unknown = sorted(set(data) - set(_MATRIX_DEFAULTS) - _RUN_KEYS - _ROOM_KEYS)
     if unknown:
-        raise ConfigError(f"unknown matrix keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown matrix keys: {', '.join(unknown)}")
     matrix = _MATRIX_DEFAULTS | data
     for key in ("variants", "n_sources", "seeds"):
         if type(matrix[key]) is not list or not matrix[key]:
-            raise ConfigError(f"{key} must be a non-empty list, got {matrix[key]!r}")
+            raise ValueError(f"{key} must be a non-empty list, got {matrix[key]!r}")
     if type(matrix["metric_every"]) is not int or matrix["metric_every"] < 1:
-        raise ConfigError("metric_every must be a positive integer")
+        raise ValueError("metric_every must be a positive integer")
     run_keys = {k: v for k, v in matrix.items() if k in _RUN_KEYS}
     matrix["configs"] = [RunConfig.from_dict(run_keys | {"variant": name}) for name in matrix["variants"]]
     # n_sources is a grid axis: an unsupported count fails its own cells only
@@ -545,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"drbss: i/o failure: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, ValueError, MemoryError) as exc:  # a size too large to allocate is a bad config
+    except (ValueError, MemoryError) as exc:  # a size too large to allocate is a bad config
         print(f"drbss: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0

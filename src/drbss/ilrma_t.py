@@ -149,7 +149,7 @@ def _steering_sweep_over_taps(
             outputs -= np.multiply(gains[:, :, None], sx.row(k, padded)[:, None, :], out=work)
 
     # it touches padded, conj and power, and outputs, work and inv
-    over_bins(sweep, dm.n_bins, 5 * (sx.padded.nbytes + outputs.nbytes) // 2, dm.top, sx.padded, inv, outputs)
+    over_bins(sweep, 5 * (sx.padded.nbytes + outputs.nbytes) // 2, dm.top, sx.padded, inv, outputs)
 
 
 def _joint_tap_update(
@@ -251,7 +251,9 @@ def projection_back(
     """
     rhs = np.zeros((dm.n_channels, 1), dtype=np.complex128)
     rhs[0, 0] = 1.0
-    scales = checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block", counter, projection=True)[..., 0]
+    scales = checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block")[..., 0]
+    if counter is not None:
+        counter.projection_solves += dm.n_bins
     outputs *= scales[:, :, None]
     return scales
 
@@ -273,8 +275,9 @@ def run(
     update, which rewrites the outputs in place, then runs one
     multiplicative sweep of the variance model and appends the
     objective. The final outputs are rescaled in place by
-    :func:`projection_back` (skipped for a zero-iteration run, which
-    returns the input unchanged, and for plain dereverberation).
+    :func:`projection_back`, except in plain dereverberation and in a
+    zero-iteration run. That run returns the input unchanged, or in
+    the cascades the output of their ``wpe_iterations`` pre-pass.
 
     ``callback(iteration, outputs, demixer)`` is invoked at iteration 0
     and after every iteration with live arrays; callers must copy what

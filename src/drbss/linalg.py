@@ -55,12 +55,6 @@ class SolveCounter:
     iteration_solves: int = 0
     projection_solves: int = 0
 
-    def count(self, n: int = 1) -> None:
-        self.iteration_solves += int(n)
-
-    def count_projection(self, n: int = 1) -> None:
-        self.projection_solves += int(n)
-
 
 def add_loading(mats: np.ndarray) -> np.ndarray:
     """Return ``mats + (DIAGONAL_LOADING * trace / dim) * I`` over the last two axes."""
@@ -74,9 +68,8 @@ def checked_solve(
     rhs: np.ndarray,
     what: str,
     counter: SolveCounter | None = None,
-    projection: bool = False,
 ) -> np.ndarray:
-    """Batched ``solve(mats, rhs)`` with diagnostics and solve tallying.
+    """Batched ``solve(mats, rhs)`` with diagnostics; each matrix counts in ``counter.iteration_solves``.
 
     ``mats`` has shape (..., D, D) with the frequency bin on the leading
     axis; a singular system is reported with its bin index instead of
@@ -94,15 +87,11 @@ def checked_solve(
             f"singular {what} at frequency bin {bin_index}"
         ) from None
     if counter is not None:
-        n_systems = int(np.prod(mats.shape[:-2]))
-        if projection:
-            counter.count_projection(n_systems)
-        else:
-            counter.count(n_systems)
+        counter.iteration_solves += int(np.prod(mats.shape[:-2]))
     return out
 
 
-def over_bins(kernel, n_bins: int, working_bytes: int, *arrays: np.ndarray | range) -> None:
+def over_bins(kernel, working_bytes: int, *arrays: np.ndarray | range) -> None:
     """Run ``kernel(*blocks)`` over contiguous slices of the leading (bin) axis of ``arrays``.
 
     A kernel that blocks another axis of its operands takes ``range(n)`` and slices them itself.
@@ -112,6 +101,7 @@ def over_bins(kernel, n_bins: int, working_bytes: int, *arrays: np.ndarray | ran
     on the caller and the rest on the pool. A per-bin kernel is bit-identical for any split.
     Every block ends before an exception is re-raised.
     """
+    n_bins = len(arrays[0])
     n_blocks = min(n_bins, -(-working_bytes // BLOCK_BYTES))
     if n_blocks < 2 * WORKERS:  # waking the pool costs about what fewer blocks would save
         return kernel(*arrays)

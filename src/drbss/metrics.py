@@ -160,20 +160,11 @@ def mixture_baseline(references: np.ndarray, mixture: np.ndarray) -> tuple[np.nd
     return mix[list(perm)], sdr
 
 
-def _gains(references: np.ndarray, estimates: np.ndarray, baseline: list[float]):
-    """References, the estimates' permutation, the aligned estimates, their SI-SDR and
-    its gain over the mixture's ``baseline`` SI-SDR, each pair scored once."""
-    refs = np.asarray(references, dtype=np.float64)
-    ests = np.asarray(estimates, dtype=np.float64)
-    perm, sdr = _align(refs, ests)
-    return refs, perm, ests[list(perm)], sdr, [s - b for s, b in zip(sdr, baseline)]
-
-
 def mean_delta_si_sdr(references: np.ndarray, estimates: np.ndarray, baseline: list[float]) -> float:
     """``evaluate(...).mean_delta_si_sdr`` without SI-SIR or cepstral distance, given the
     mixture's SI-SDR per reference, ``mixture_baseline(references, mixture)[1]``."""
-    *_, delta = _gains(references, estimates, baseline)
-    return float(np.mean(delta))
+    _, sdr = _align(np.asarray(references, dtype=np.float64), np.asarray(estimates, dtype=np.float64))
+    return float(np.mean([s - b for s, b in zip(sdr, baseline)]))
 
 
 def evaluate(
@@ -189,8 +180,12 @@ def evaluate(
     against itself yields exactly zero deltas.
     """
     base, base_sdr = mixture_baseline(references, mixture)
-    refs, perm, ests, sdr, d_sdr = _gains(references, estimates, base_sdr)
+    refs = np.asarray(references, dtype=np.float64)
+    ests = np.asarray(estimates, dtype=np.float64)
+    perm, sdr = _align(refs, ests)
+    ests = ests[list(perm)]
     sir = [si_sir(refs, e, i) for i, e in enumerate(ests)]
     cd = [cepstral_distance(r, e, sample_rate) for r, e in zip(refs, ests)]
+    d_sdr = [s - b for s, b in zip(sdr, base_sdr)]
     d_sir = [s - si_sir(refs, b, i) for i, (s, b) in enumerate(zip(sir, base))]
     return EvalReport(perm, sdr, sir, cd, d_sdr, d_sir)

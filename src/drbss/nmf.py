@@ -91,8 +91,8 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
         _evaluate(bases, acts, floor, out=variances[:, :, t])
 
     # a block touches power, the variances and up to three temporaries of their size
-    over_bins(bases_block, shape[0], 5 * power.nbytes, range(shape[0]))
-    over_bins(activations_block, shape[2], 5 * power.nbytes, range(shape[2]))
+    over_bins(bases_block, 5 * power.nbytes, range(shape[0]))
+    over_bins(activations_block, 5 * power.nbytes, range(shape[2]))
     return variances
 
 
@@ -104,18 +104,13 @@ def _scale(factor: np.ndarray, other: np.ndarray, subscripts: str, num: np.ndarr
     np.maximum(factor, FACTOR_FLOOR, out=factor)
 
 
-def model_cost(power: np.ndarray, variances: np.ndarray) -> float:
+def model_cost_in_place(power: np.ndarray, variances: np.ndarray) -> float:
     """Sum of power/r + log r, the variance-model part of the objective.
 
     ``power`` and ``variances`` share their shape, (F, N, T) or WPE's (F, T)
-    track; neither is changed.
+    track. The sum is formed in ``power``, which holds power/r + log r on return.
     """
-    return model_cost_in_place(power.copy(), variances)
-
-
-def model_cost_in_place(power: np.ndarray, variances: np.ndarray) -> float:
-    """``model_cost``, summed in ``power``: it holds power/r + log r on return."""
-    over_bins(_model_term, len(power), 3 * power.nbytes, power, variances)
+    over_bins(_model_term, 3 * power.nbytes, power, variances)
     return float(np.sum(power))
 
 

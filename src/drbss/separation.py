@@ -112,7 +112,7 @@ def iss_update_source(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray, n: 
 def iss_source_sweep(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
     """One steering sweep of the free rows ``top`` over sources 0..N-1 under fixed (F, N, T) inverse variances."""
     # per pivot it touches the outputs, their weighted copy and update, and inv
-    over_bins(_iss_block, outputs.shape[0], 3 * outputs.nbytes + inv.nbytes, top, outputs, inv)
+    over_bins(_iss_block, 3 * outputs.nbytes + inv.nbytes, top, outputs, inv)
 
 
 def _iss_block(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:

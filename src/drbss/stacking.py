@@ -89,7 +89,7 @@ class StackedObservation:
                 kernel(self.gather(padded[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
 
         if pooled:
-            linalg.over_bins(gathered, len(self.padded), working, self.padded, *arrays)
+            linalg.over_bins(gathered, working, self.padded, *arrays)
         else:
             gathered(self.padded, *arrays)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve
-from .nmf import model_cost
+from .nmf import model_cost_in_place
 from .separation import weighted_gram
 from .stacking import StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
@@ -54,7 +54,7 @@ def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:
 def wpe_objective(dereverbed: np.ndarray, variances: np.ndarray) -> float:
     """sum over (f, t) of |z|^2 / (M r) + log r."""
     n_channels = dereverbed.shape[1]
-    return model_cost(np.sum(np.abs(dereverbed) ** 2, axis=1) / n_channels, variances)
+    return model_cost_in_place(np.sum(np.abs(dereverbed) ** 2, axis=1) / n_channels, variances)
 
 
 def wpe_run(

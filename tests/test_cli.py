@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 
 from drbss import SyntheticRoomConfig, cli, make_sources
 from drbss.cli import (
-    ConfigError,
     RunConfig,
     cmd_bench,
     cmd_eval,
@@ -42,20 +42,20 @@ def test_run_config_round_trip():
 
 
 def test_run_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ValueError, match="unknown config keys"):
         RunConfig.from_dict({"variant": "ilrma-ip", "bogus": 1})
 
 
 def test_run_config_rejects_bad_values():
     with pytest.raises(ValueError):
         RunConfig(variant="not-a-variant")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^iterations must be non-negative, got -1$"):
         RunConfig(iterations=-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^delay must be at least one frame$"):
         RunConfig(delay=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^frame_len must be a positive power of two, got 300$"):
         RunConfig(frame_len=300, hop=100)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^taps must be non-negative$"):
         RunConfig(taps=-1)
 
 
@@ -63,23 +63,23 @@ def test_room_config_from_dict():
     cfg, duration = room_config_from_dict({"n_sources": 2, "snr": "inf", "duration": 2.5})
     assert np.isinf(cfg.snr)
     assert duration == 2.5
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ValueError, match="unknown config keys"):
         room_config_from_dict({"n_sources": 2, "rooms": 3})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^duration must be a positive finite number, got -1\.0$"):
         room_config_from_dict({"n_sources": 2, "duration": -1.0})
     for key, bad in (("rt60", "x"), ("snr", True), ("tail_gain", None)):
-        with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
             room_config_from_dict({"n_sources": 2, key: bad})
     # non-finite room values name their field; snr alone may be infinite
     for key in ("rt60", "tail_gain", "duration"):
         for bad in (np.inf, np.nan):
-            with pytest.raises(ConfigError, match=f"{key} must be .*finite"):
+            with pytest.raises(ValueError, match=f"{key} must be .*finite"):
                 room_config_from_dict({"n_sources": 2, key: bad})
     assert np.isinf(room_config_from_dict({"n_sources": 2, "snr": np.inf})[0].snr)
 
 
 def test_room_config_names_a_bad_snr_string():
-    with pytest.raises(ConfigError, match="snr") as info:
+    with pytest.raises(ValueError, match="snr") as info:
         room_config_from_dict({"n_sources": 2, "snr": "x"})
     assert "could not convert" not in str(info.value)
 
@@ -270,7 +270,7 @@ def test_eval_shape_mismatch(tmp_path):
     est_dir = tmp_path / "short"
     est_dir.mkdir()
     write_wav(est_dir / "src00.wav", FS, np.zeros(100))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="^2 references but 1 estimates$"):
         cmd_eval(sim, est_dir, out_dir=tmp_path / "ev10")
 
 
@@ -342,21 +342,33 @@ def test_bench_scores_the_mixture_baseline_once_per_cell(tmp_path, monkeypatch):
 def test_bench_rejects_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"variants": []}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^variants must be a non-empty list, got \[\]$"):
         cmd_bench(path, tmp_path / "bench2")
     path.write_text(json.dumps({"variants": ["ilrma-ip"], "metric": 1}))
-    with pytest.raises(ConfigError, match="unknown matrix keys"):
+    with pytest.raises(ValueError, match="unknown matrix keys"):
         cmd_bench(path, tmp_path / "bench2")
     # every run and room setting is checked once, before any cell runs
-    for bad in (
-        {"hop": 100}, {"taps": -1}, {"iterations": "3"}, {"rt60": -1},
-        {"tail_gain": -1}, {"duration": None}, {"sample_rate": 8000.5}, {"metric_every": "2"},
-        {"rt60": "x"}, {"snr": True}, {"tail_gain": None},
-        {"rt60": float("inf")}, {"rt60": float("nan")}, {"tail_gain": float("inf")},
-        {"duration": float("inf")}, {"duration": float("nan")}, {"snr": "x"},
+    for bad, message in (
+        ({"hop": 100}, "hop must divide frame_len, got hop=100 frame_len=256"),
+        ({"taps": -1}, "taps must be non-negative"),
+        ({"iterations": "3"}, "iterations must be int, got '3'"),
+        ({"rt60": -1}, "rt60 must be finite and non-negative, got -1"),
+        ({"tail_gain": -1}, "tail_gain must be finite and non-negative, got -1"),
+        ({"duration": None}, "duration must be a positive finite number, got None"),
+        ({"sample_rate": 8000.5}, "sample_rate must be a non-negative int, got 8000.5"),
+        ({"metric_every": "2"}, "metric_every must be a positive integer"),
+        ({"rt60": "x"}, "rt60 must be a number, got 'x'"),
+        ({"snr": True}, "snr must be a number, got True"),
+        ({"tail_gain": None}, "tail_gain must be a number, got None"),
+        ({"rt60": float("inf")}, "rt60 must be finite and non-negative, got inf"),
+        ({"rt60": float("nan")}, "rt60 must be finite and non-negative, got nan"),
+        ({"tail_gain": float("inf")}, "tail_gain must be finite and non-negative, got inf"),
+        ({"duration": float("inf")}, "duration must be a positive finite number, got inf"),
+        ({"duration": float("nan")}, "duration must be a positive finite number, got nan"),
+        ({"snr": "x"}, "snr must be a number or 'inf', got 'x'"),
     ):
         path.write_text(json.dumps({"variants": ["ilrma-ip"], **bad}))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cmd_bench(path, tmp_path / "bench2")
         assert main(["bench", str(path), "--out", str(tmp_path / "bench3")]) == 2
         assert not (tmp_path / "bench3" / "curves.csv").exists()
@@ -366,7 +378,7 @@ def test_bench_rejects_bad_matrix(tmp_path, capsys):
         ("n_sources", []), ("seeds", []), ("variants", []),
     ):
         path.write_text(json.dumps({"variants": ["ilrma-ip"], key: bad}))
-        with pytest.raises(ConfigError, match=f"^{key} must be a non-empty list"):
+        with pytest.raises(ValueError, match=f"^{key} must be a non-empty list"):
             cmd_bench(path, tmp_path / "bench2")
         capsys.readouterr()
         assert main(["bench", str(path), "--out", str(tmp_path / "bench4")]) == 2

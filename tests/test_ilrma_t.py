@@ -11,10 +11,7 @@ from drbss import (
     ExtendedDemixer,
     NumericalError,
     SolveCounter,
-    Spectrogram,
-    StftConfig,
     TapConfig,
-    analyze,
     build_stacked,
     cost,
     ilrma_t_ip_iteration,
@@ -25,9 +22,10 @@ from drbss import (
     projection_back,
     run,
     variance,
+    wpe_run,
 )
 from drbss import linalg, nmf
-from tests.conftest import FS, TAPPED_VARIANTS, desk_mixture, desk_spectrogram, stack_rows
+from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, stack_rows
 
 SMALL_TAPS = TapConfig(2, 2)
 
@@ -178,6 +176,23 @@ def test_projection_back_counts_per_bin():
     projection_back(dm, outputs, counter)
     assert counter.projection_solves == 7
     assert counter.iteration_solves == 0
+
+
+@pytest.mark.parametrize("variant", list(AlgorithmVariant))
+def test_run_zero_iterations_returns_the_input_or_the_wpe_prepass(variant):
+    """With zero iterations the input comes back unchanged, with no solve, except in the two
+    cascades: they still run their ``wpe_iterations`` pre-pass and return its output, with
+    its solves. No zero-iteration run projects back."""
+    spec = small_spec(1)
+    counter = SolveCounter()
+    result = run(variant, spec, iterations=0, taps=SMALL_TAPS, seed=1, wpe_iterations=3, counter=counter)
+    if variant in (AlgorithmVariant.WPE_ILRMA_IP, AlgorithmVariant.WPE_ILRMA_ISS):
+        want, solves = wpe_run(spec, SMALL_TAPS, 3).data, 3 * spec.n_bins
+    else:
+        want, solves = spec.data, 0
+    assert np.array_equal(result.outputs.data, want)
+    assert counter.iteration_solves == result.trace.cumulative_solves[0] == solves
+    assert counter.projection_solves == 0
 
 
 def test_run_zero_iterations_is_identity():

@@ -1,4 +1,4 @@
-"""Source hygiene: every name a module imports is used in that module,
+"""Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function or class is referenced somewhere, only
 the STFT module converts array layout, and only the stacking module reads the
 demixer's whole square ``matrix``."""
@@ -10,6 +10,7 @@ import drbss
 
 SOURCES = sorted(Path(drbss.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,8 +33,8 @@ def test_scanner_flags_an_unused_import():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    assert len(MODULES) >= 10
-    found = {p.name: unused_imports(p.read_text()) for p in MODULES}
+    assert len(MODULES) >= 10 and len(TESTS) >= 10
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in MODULES + TESTS}
     assert {name: names for name, names in found.items() if names} == {}
 
 

@@ -16,7 +16,7 @@ from drbss import (
     variance,
     wpe_variance_update,
 )
-from drbss.nmf import model_cost
+from drbss.nmf import model_cost_in_place
 from drbss.wpe import wpe_objective
 from tests.conftest import desk_spectrogram
 
@@ -76,10 +76,10 @@ def test_updates_monotone_in_model_cost():
     power = rng.uniform(0.1, 4.0, size=(2, 8, 20)).transpose(1, 0, 2)  # (F, N, T)
     model = init_model(2, 3, 8, 20, seed=5)
     r = variance(model)
-    costs = [model_cost(power, r)]
+    costs = [model_cost_in_place(power.copy(), r)]
     for _ in range(50):
         r = nmf_update(model, power, r)
-        costs.append(model_cost(power, r))
+        costs.append(model_cost_in_place(power.copy(), r))
     diffs = np.diff(costs)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(costs[:-1])))
     assert costs[-1] < costs[0]
@@ -139,9 +139,9 @@ def test_variances_are_f_fastest_and_refreshed_in_place():
 
 
 @pytest.mark.parametrize("workers, block_bytes", [(1, linalg.BLOCK_BYTES), (2, 1 << 10)])
-def test_model_cost_changes_nothing_and_takes_a_wpe_track(monkeypatch, workers, block_bytes):
-    """``model_cost`` leaves its arguments alone, for (F, N, T) tensors and WPE's (F, T)
-    track alike; ``cost`` sums the same term in its ``power`` buffer."""
+def test_model_cost_sums_in_power_and_takes_a_wpe_track(monkeypatch, workers, block_bytes):
+    """``model_cost_in_place`` sums power/r + log r in ``power`` and leaves ``variances``
+    alone, for (F, N, T) tensors and WPE's (F, T) track alike; ``cost`` sums the same term."""
     monkeypatch.setattr(linalg, "WORKERS", workers)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(8)
@@ -149,14 +149,14 @@ def test_model_cost_changes_nothing_and_takes_a_wpe_track(monkeypatch, workers, 
     track = wpe_variance_update(z)
     model = init_model(2, 2, 33, 40, seed=8)
     for power, variances in ((np.abs(z) ** 2, variance(model)), (np.mean(np.abs(z) ** 2, axis=1), track)):
-        kept = power.copy(), variances.copy()
+        kept = variances.copy()
         want = power / variances
         want += np.log(variances)
-        assert model_cost(power, variances) == float(np.sum(want))
-        assert np.array_equal(power, kept[0]) and np.array_equal(variances, kept[1])
-    assert wpe_objective(z, track) == model_cost(np.sum(np.abs(z) ** 2, axis=1) / 2, track)
+        assert model_cost_in_place(power, variances) == float(np.sum(want))
+        assert np.array_equal(power, want) and np.array_equal(variances, kept)
+    assert wpe_objective(z, track) == model_cost_in_place(np.sum(np.abs(z) ** 2, axis=1) / 2, track)
 
     power, variances = np.abs(z) ** 2, variance(model)
-    want = model_cost(power, variances)
+    want = model_cost_in_place(power.copy(), variances)
     assert cost(ExtendedDemixer.identity(33, 2, TapConfig(0, 1)), power, variances) == want
     assert np.array_equal(power, np.abs(z) ** 2 / variances + np.log(variances))

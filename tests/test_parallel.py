@@ -250,7 +250,7 @@ def test_a_block_exception_propagates_after_every_block_finishes(monkeypatch, ba
 
     bins = np.arange(6)
     with pytest.raises(ValueError, match=f"block {bad}"):
-        linalg.over_bins(kernel, 6, 6, bins)
+        linalg.over_bins(kernel, 6, bins)
     assert running[0] == 0  # no block still runs (or writes) once the call has returned
     assert len(threads) > 1
     assert len(finished) == int(np.sum(bins == -1))
@@ -262,7 +262,7 @@ def _add_one(block):
 
 def _blocked_sum(_):
     bins = np.zeros(8)
-    linalg.over_bins(_add_one, 8, 8, bins)
+    linalg.over_bins(_add_one, 8, bins)
     return float(bins.sum())
 
 
