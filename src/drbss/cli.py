@@ -180,12 +180,9 @@ def cmd_simulate(
 # ---------------------------------------------------------------- separate
 
 
-def _separate(
-    config: RunConfig, x: np.ndarray, sample_rate: int, **options
-) -> tuple[Spectrogram, RunResult]:
-    """Analyze a (M, S) signal and run ``config`` on it; ``options`` go to ``run``."""
-    spec = analyze(x, config.stft(sample_rate))
-    result = run(
+def _separate(config: RunConfig, spec: Spectrogram, **options) -> RunResult:
+    """Run ``config`` on an analyzed mixture; ``options`` go to ``run``."""
+    return run(
         AlgorithmVariant.from_name(config.variant),
         spec,
         iterations=config.iterations,
@@ -195,14 +192,15 @@ def _separate(
         wpe_iterations=config.wpe_init_iters,
         **options,
     )
-    return spec, result
 
 
 def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Path) -> Path:
     """Separate a mixture WAV; write estimates, trace.csv, report.json."""
     sample_rate, x = read_wav(mixture_path)
+    spec = analyze(x, config.stft(sample_rate))
+    del x  # the run holds the spectrogram alone
     counter = SolveCounter()
-    spec, result = _separate(config, x, sample_rate, counter=counter)
+    result = _separate(config, spec, counter=counter)
     estimates = synthesize(result.outputs)
     out = Path(out_dir)
     (out / "estimates").mkdir(parents=True, exist_ok=True)
@@ -368,6 +366,8 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
         result = mix(sources, room)
         refs = result.direct_images[:, 0, :]
         _, baseline = mixture_baseline(refs, result.mixture)  # the same at every checkpoint
+        spec = analyze(result.mixture, config.stft(fs))
+        del result  # the run holds the spectrogram and the references alone
 
         deltas: dict[int, float] = {}
 
@@ -380,7 +380,7 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
             est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
             deltas[iteration] = mean_delta_si_sdr(refs, est, baseline)
 
-        _, run_result = _separate(config, result.mixture, fs, callback=checkpoint)
+        run_result = _separate(config, spec, callback=checkpoint)
         if config.iterations not in deltas:  # the last checkpoint already scored the final state
             final_est = synthesize(run_result.outputs)
             deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, baseline)

@@ -139,17 +139,25 @@ def _steering_sweep_over_taps(
     if sx.dim == n:
         return
 
-    def sweep(top, padded, inv, outputs):  # one bin block; every lag reads its hoisted conj and power
+    t, last = sx.spec.n_frames, sx.lags[-1]
+
+    def row(of, k):  # stacked row k of a bin block front-padded with ``last`` zero frames
+        start = last - sx.lags[k // n]
+        return of[:, k % n, start : start + t]
+
+    def sweep(top, data, inv, outputs):  # one bin block, padded; every lag reads its hoisted conj and power
+        padded = np.empty((len(data), n, t + last), dtype=data.dtype)  # a quarter of np.pad's time per block
+        padded[:, :, :last], padded[:, :, last:] = 0, data
         conj, power = padded.conj(), np.abs(padded) ** 2
         work = np.empty_like(outputs)
         for k in range(n, sx.dim):
             weighted = np.multiply(outputs, inv, out=work)
-            gains, _ = steering_gains(weighted, inv, sx.row(k, conj), sx.row(k, power))
+            gains, _ = steering_gains(weighted, inv, row(conj, k), row(power, k))
             top[:, :, k] -= gains
-            outputs -= np.multiply(gains[:, :, None], sx.row(k, padded)[:, None, :], out=work)
+            outputs -= np.multiply(gains[:, :, None], row(padded, k)[:, None, :], out=work)
 
-    # it touches padded, conj and power, and outputs, work and inv
-    over_bins(sweep, 5 * (sx.padded.nbytes + outputs.nbytes) // 2, dm.top, sx.padded, inv, outputs)
+    # it touches the block, its padded copy, conj and power, and outputs, work and inv
+    over_bins(sweep, 5 * (sx.spec.data.nbytes + outputs.nbytes) // 2, dm.top, sx.spec.data, inv, outputs)
 
 
 def _joint_tap_update(

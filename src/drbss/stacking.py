@@ -38,15 +38,14 @@ class TapConfig:
 class StackedObservation:
     """A spectrogram with its lags ``(0, delay, ..., delay+taps-1)``, held once.
 
-    Stacked row k is channel ``k % M`` at lag ``lags[k // M]``, zero where
-    the lag runs off the start of the signal: a view of ``padded``, the
-    spectrogram front-padded with ``lags[-1]`` zero frames. No (F, D, T)
-    tensor is held: the Gram-forming updates gather one bin block at a time.
+    Stacked row k is channel ``k % M`` of ``spec.data`` at lag ``lags[k // M]``,
+    zero where the lag runs off the start of the signal. Nothing is copied: the
+    Gram-forming updates and the products gather one bin block at a time, and
+    the scalar tap sweep pads one.
     """
 
     spec: Spectrogram
     lags: tuple[int, ...]
-    padded: np.ndarray
 
     @property
     def n_channels(self) -> int:
@@ -56,42 +55,39 @@ class StackedObservation:
     def dim(self) -> int:
         return self.n_channels * len(self.lags)
 
-    def row(self, k: int, of: np.ndarray | None = None) -> np.ndarray:
-        """Stacked row ``k``, an (F, T) view of ``padded`` (or of ``of``, laid out like it)."""
-        start = self.lags[-1] - self.lags[k // self.n_channels]
-        return (self.padded if of is None else of)[:, k % self.n_channels, start : start + self.spec.n_frames]
-
-    def gather(self, padded: np.ndarray, past: bool = False) -> np.ndarray:
-        """The stacked rows of a bin block of ``padded``, (B, D, T), or only the delayed ones, (B, D - M, T):
-        one copied slice per lag group of M rows; at zero taps the block itself, uncopied."""
+    def gather(self, data: np.ndarray, past: bool = False) -> np.ndarray:
+        """The stacked rows of a bin block of ``spec.data``, (B, D, T), or only the delayed ones, (B, D - M, T):
+        per lag group of M rows, its leading zeros and one copied slice; at zero taps the block itself, uncopied."""
         lags = self.lags[1:] if past else self.lags
         if lags == (0,):
-            return padded
-        m, t, last = self.n_channels, self.spec.n_frames, self.lags[-1]
-        rows = np.empty((len(padded), m * len(lags), t), dtype=padded.dtype)
+            return data
+        m, t = self.n_channels, self.spec.n_frames
+        rows = np.empty((len(data), m * len(lags), t), dtype=data.dtype)
         for i, lag in enumerate(lags):
-            rows[:, i * m : (i + 1) * m] = padded[:, :, last - lag : last - lag + t]
+            rows[:, i * m : (i + 1) * m, :lag] = 0
+            rows[:, i * m : (i + 1) * m, lag:] = data[:, :, : t - lag]
         return rows
 
     def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray, pooled: bool = False) -> None:
         """``kernel(rows, *blocks)`` per ``BLOCK_BYTES`` slice of bins, ``rows`` a slice's ``gather`` and ``blocks``
-        its slices of ``arrays``; ``extra_bytes`` is what it touches besides ``padded``, the gather and one
+        its slices of ``arrays``; ``extra_bytes`` is what it touches besides ``spec.data``, the gather and one
         gather-sized scratch. On the calling thread, unless ``pooled`` lets ``over_bins`` share bin blocks with the
         pool: the Gram steps with one weight track per source take it, while the products and WPE's one-track Gram
         gain too little from the pool to wait on a second CPU. No call holds every bin's rows."""
         uncopied = self.lags == (0,)  # at zero taps the gather is the block itself
-        working = (1 + 2 * (len(self.lags) - past) - uncopied) * self.padded.nbytes + extra_bytes
-        width = -(-len(self.padded) * linalg.BLOCK_BYTES // working)  # bins per gather
+        data = self.spec.data
+        working = (1 + 2 * (len(self.lags) - past) - uncopied) * data.nbytes + extra_bytes
+        width = -(-len(data) * linalg.BLOCK_BYTES // working)  # bins per gather
 
         @wraps(kernel)
-        def gathered(padded, *blocks):
-            for lo in range(0, len(padded), width):
-                kernel(self.gather(padded[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
+        def gathered(data, *blocks):
+            for lo in range(0, len(data), width):
+                kernel(self.gather(data[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
 
         if pooled:
-            linalg.over_bins(gathered, working, self.padded, *arrays)
+            linalg.over_bins(gathered, working, data, *arrays)
         else:
-            gathered(self.padded, *arrays)
+            gathered(data, *arrays)
 
     def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
         """Per slice of bins, ``out = filters @ rows``, or with ``past`` ``out -= filters @ past_rows``; returns ``out``."""
@@ -106,16 +102,14 @@ class StackedObservation:
 
 
 def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
-    """Hold a spectrogram with its lags; delayed rows are views of one padded copy."""
+    """Hold a spectrogram with its lags; nothing is copied until a bin block is gathered."""
     if spec.n_frames == 0:
         raise ValueError("spectrogram has no frames")
     last = taps.delay + taps.taps - 1 if taps.taps else 0  # checked before any lag is built
     if last >= spec.n_frames:
         reach = f"delay {taps.delay} with {taps.taps} taps reaches lag {last}"
         raise ValueError(f"{reach}, beyond the {spec.n_frames} frames")
-    lags = (0, *range(taps.delay, taps.delay + taps.taps))
-    padded = np.pad(spec.data, ((0, 0), (0, 0), (last, 0))) if last else spec.data
-    return StackedObservation(spec, lags, padded)
+    return StackedObservation(spec, (0, *range(taps.delay, taps.delay + taps.taps)))
 
 
 @dataclass

@@ -128,12 +128,13 @@ def synthesize(spec: Spectrogram) -> np.ndarray:
     _, dual = _windows(config.frame_len, config.hop)
     frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=config.frame_len, axis=-1)
     frames *= dual
-    n_frames = spec.n_frames
-    total = (n_frames - 1) * config.hop + config.frame_len
-    out = np.zeros((spec.n_channels, total))
-    for t in range(n_frames):
-        start = t * config.hop
-        out[:, start : start + config.frame_len] += frames[:, t, :]
+    n_frames, ratio = spec.n_frames, config.frame_len // config.hop
+    segments = frames.reshape(spec.n_channels, n_frames, ratio, config.hop)
+    out = np.zeros((spec.n_channels, n_frames - 1 + ratio, config.hop))
+    for r in reversed(range(ratio)):  # hop-long segment r of frame t lands on block t + r:
+        out[:, r : r + n_frames] += segments[:, :, r]  # every sample adds its frames in ascending order
+    out = out.reshape(spec.n_channels, -1)
+    total = out.shape[1]
     left = config.frame_len - config.hop
     if spec.n_samples is not None:
         n_samples = spec.n_samples

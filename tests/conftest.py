@@ -56,17 +56,24 @@ def desk_spectrogram(seed, frame_len=DESK_FRAME, hop=DESK_HOP, **kwargs):
 
 
 def stack_rows(sx):
-    """Oracle for the (F, D, T) stacked tensor: every stacked row ``sx.row(k)``, stacked one by one."""
-    return np.stack([sx.row(k) for k in range(sx.dim)], axis=1)
+    """Oracle for the (F, D, T) stacked tensor, built from ``sx.spec.data`` alone: per lag, the
+    channels shifted later by the lag, with that many zero frames written in front of them."""
+    x = sx.spec.data
+    n_bins, n_channels, n_frames = x.shape
+    blocks = []
+    for lag in sx.lags:
+        zeros = np.zeros((n_bins, n_channels, lag), dtype=x.dtype)
+        blocks.append(np.concatenate([zeros, x[:, :, : n_frames - lag]], axis=2))
+    return np.concatenate(blocks, axis=1)
 
 
 def zero_tap_stack(x):
     """Plain (F, M, T) vectors as a zero-tap stacked observation, whose stacked rows they are.
 
-    A ``Spectrogram`` needs an STFT's bin count, so only the two shape fields the
-    stacking reads are given.
+    A ``Spectrogram`` needs an STFT's bin count, so only the data and the two shape
+    fields the stacking reads are given.
     """
-    return StackedObservation(SimpleNamespace(n_channels=x.shape[1], n_frames=x.shape[2]), (0,), x)
+    return StackedObservation(SimpleNamespace(data=x, n_channels=x.shape[1], n_frames=x.shape[2]), (0,))
 
 
 def normal_equation_instance(seed=0, n_bins=129, n_src=3, n_frames=316):

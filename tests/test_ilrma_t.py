@@ -277,7 +277,7 @@ def test_run_callback_schedule():
 
 
 def test_iss_seq_run_never_builds_the_stacked_tensor():
-    """The scalar tap sweep reads delayed rows as views of one padded copy.
+    """The scalar tap sweep reads delayed rows from one front-padded bin block at a time.
 
     With taps=8 the (F, D, T) stacked tensor is nine copies of the
     observation; the whole run's traced peak stays below it.
@@ -293,6 +293,32 @@ def test_iss_seq_run_never_builds_the_stacked_tensor():
     finally:
         tracemalloc.stop()
     assert peak < tensor_bytes
+
+
+def test_observation_is_held_once(monkeypatch):
+    """``build_stacked`` copies nothing, and a tapped run holds no whole copy of the observation.
+
+    The run holds its outputs (one observation's bytes) and three real (F, N, T) tracks: the
+    variances, their inverse and the output power. In small bin blocks that keeps its traced
+    peak under three observations, which one front-padded copy of the observation would pass.
+    """
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    spec = small_spec(12, n_samples=36000)
+    taps = TapConfig(5, 2)
+    run(AlgorithmVariant.ILRMA_T_ISS_SEQ, spec, iterations=1, taps=taps)  # the pool's thread is started
+    tracemalloc.start()
+    try:
+        sx = build_stacked(spec, taps)
+        stacking_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run(AlgorithmVariant.ILRMA_T_ISS_SEQ, spec, iterations=2, taps=taps)
+        run_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sx.lags == (0, 2, 3, 4, 5, 6) and np.shares_memory(sx.spec.data, spec.data)
+    assert stacking_peak < 1024  # the object and its lags; one stacked row alone is F * T * 16 bytes
+    assert run_peak < 3 * spec.data.nbytes
 
 
 def test_run_wpe_variant():

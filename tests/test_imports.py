@@ -1,7 +1,7 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function or class is referenced somewhere, only
-the STFT module converts array layout, and only the stacking module reads the
-demixer's whole square ``matrix``."""
+the STFT module converts array layout, only the stacking module reads the
+demixer's whole square ``matrix``, and only simulation and the CLI import scipy."""
 
 import ast
 from pathlib import Path
@@ -91,6 +91,34 @@ def test_only_stacking_reads_the_demixer_matrix():
     only ``ExtendedDemixer`` knows where they sit among the pinned rows."""
     found = {p.name: matrix_reads(p.read_text()) for p in MODULES if p.name != "stacking.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages that the import statements in ``source`` name; relative imports name none."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_scanner_names_imported_packages():
+    source = (
+        "import numpy as np\n"
+        "from scipy.signal import lfilter\n"
+        "from . import linalg\n"
+        "def f():\n"
+        "    import scipy.io.wavfile\n"
+    )
+    assert imported_packages(source) == {"numpy", "scipy"}
+
+
+def test_only_simulation_and_the_cli_import_scipy():
+    """Separation, stacking, the STFT and the metrics run on numpy alone."""
+    found = sorted(p.name for p in SOURCES if "scipy" in imported_packages(p.read_text()))
+    assert found == ["cli.py", "sim.py"]
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:

@@ -219,7 +219,7 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     past = tilde[:, n:]  # a strided view
     covs = weighted_cov(sx, 1.0 / variances)
     grams = np.empty_like(covs[:, :, n:, n:])
-    weighted_gram(sx.gather(sx.padded, past=True), 1.0 / variances, grams)
+    weighted_gram(sx.gather(spec.data, past=True), 1.0 / variances, grams)
     for m in range(n):  # all rows, contiguous, and the delayed rows, strided
         inv = 1.0 / variances[:, m]
         want = (tilde * inv[:, None, :]) @ tilde.conj().swapaxes(1, 2) / tilde.shape[2]

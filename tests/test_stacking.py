@@ -1,5 +1,7 @@
 """Stacked observations and the structure of the extended demixer."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,9 @@ def test_zero_taps_is_just_the_input():
     spec = random_spec(0)
     sx = build_stacked(spec, TapConfig(0, 2))
     assert sx.dim == spec.n_channels
-    assert sx.gather(sx.padded, past=True).shape == (CFG.n_bins, 0, spec.n_frames)
+    assert sx.gather(spec.data, past=True).shape == (CFG.n_bins, 0, spec.n_frames)
     assert np.array_equal(stack_rows(sx), spec.data)
-    assert sx.gather(sx.padded) is sx.padded is spec.data  # nothing to copy
+    assert sx.gather(spec.data) is spec.data  # nothing to copy
 
 
 def test_delay_blocks_and_zero_fill():
@@ -60,19 +62,19 @@ def test_delay_blocks_and_zero_fill():
 
 
 def test_past_is_a_view():
-    """Every stacked row is a view of the one padded copy; a bin block's gather copies its rows."""
+    """The stacked observation holds only the spectrogram; a bin block's gather copies its rows
+    out of ``spec.data`` and writes each lag's leading zeros, over whatever its buffer held."""
     spec = random_spec(2)
     sx = build_stacked(spec, TapConfig(3, 2))
     assert sx.lags == (0, 2, 3, 4)
-    assert sx.padded.shape == (CFG.n_bins, 2, spec.n_frames + 4)
-    rows = sx.gather(sx.padded)
-    for k in range(sx.dim):
-        assert np.shares_memory(sx.row(k), sx.padded)
-        assert np.array_equal(sx.row(k), rows[:, k, :])
-    past = sx.gather(sx.padded[3:7], past=True)
-    assert np.array_equal(past, stack_rows(sx)[3:7, 2:])
-    assert past.flags.c_contiguous and not np.shares_memory(past, sx.padded)
-    assert not np.shares_memory(sx.padded, spec.data)
+    assert sx.spec is spec and vars(sx).keys() == {"spec", "lags"}
+    tilde = stack_rows(sx)
+    assert np.array_equal(sx.gather(spec.data), tilde)
+    dirty = np.full((4, 6, spec.n_frames), np.nan + 1j)  # the gather's buffer, reused dirty
+    with patch.object(np, "empty", lambda *args, **kwargs: dirty):
+        past = sx.gather(spec.data[3:7], past=True)
+    assert past is dirty and np.array_equal(past, tilde[3:7, 2:])
+    assert past.flags.c_contiguous and not np.shares_memory(past, spec.data)
 
 
 def test_build_stacked_rejects_empty():

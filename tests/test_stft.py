@@ -114,6 +114,30 @@ def test_spectrogram_validation():
     assert (spec.n_bins, spec.n_frames, spec.n_channels) == (129, 4, 2)
 
 
+def overlap_add_frame_by_frame(spec):
+    """Oracle: the dual-windowed frames added into the signal one frame at a time, in order."""
+    cfg = spec.config
+    _, dual = _windows(cfg.frame_len, cfg.hop)
+    frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=cfg.frame_len, axis=-1) * dual
+    left = cfg.frame_len - cfg.hop
+    out = np.zeros((spec.n_channels, (spec.n_frames - 1) * cfg.hop + cfg.frame_len))
+    for t in range(spec.n_frames):
+        out[:, t * cfg.hop : t * cfg.hop + cfg.frame_len] += frames[:, t, :]
+    return out[:, left : left + spec.n_samples]
+
+
+@pytest.mark.parametrize("hop", [128, 64])
+@pytest.mark.parametrize("n_samples", [4001, 2049])
+def test_synthesize_matches_frame_by_frame_overlap_add(hop, n_samples):
+    """Bit for bit, at frame/hop ratios 2 and 4 and odd signal lengths."""
+    rng = np.random.default_rng(n_samples + hop)
+    spec = analyze(rng.standard_normal((2, n_samples)), StftConfig(256, hop, 8000))
+    spec.data = spec.data * (1.0 + rng.standard_normal(spec.data.shape))  # no longer an analysis
+    got = synthesize(spec)
+    assert got.shape == (2, n_samples)
+    assert np.array_equal(got, overlap_add_frame_by_frame(spec))
+
+
 def test_synthesize_rejects_inconsistent_length():
     cfg = StftConfig(256, 128)
     spec = analyze(np.random.default_rng(5).standard_normal(4000), cfg)
