@@ -10,12 +10,12 @@ import argparse
 import csv
 import hashlib
 import json
+import struct
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .ilrma_t import VARIANTS, AlgorithmVariant, RunResult, projection_back, run
 from .linalg import NumericalError, SolveCounter
@@ -74,33 +74,94 @@ def _load_json_dict(path: str | Path) -> dict:
     return data
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# The last 12 bytes of the sub-format GUID of a WAVE_FORMAT_EXTENSIBLE
+# file whose first 4 bytes hold a plain format tag (RFC 2361).
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+# (format tag, bits per sample) -> (sample dtype, offset, full scale);
+# 24-bit samples are read into the top three bytes of a 32-bit integer.
+_SAMPLE_FORMATS = {
+    (_PCM, 8): ("u1", 128.0, 128.0),
+    (_PCM, 16): ("<i2", 0.0, 32768.0),
+    (_PCM, 24): ("<i4", 0.0, 2147483648.0),
+    (_PCM, 32): ("<i4", 0.0, 2147483648.0),
+    (_IEEE_FLOAT, 32): ("<f4", 0.0, 1.0),
+    (_IEEE_FLOAT, 64): ("<f8", 0.0, 1.0),
+}
+
+
 def write_wav(path: str | Path, sample_rate: int, data: np.ndarray) -> None:
-    """Write a 32-bit float WAV; rows of a 2-D input are channels."""
+    """Write a 32-bit float WAV; rows of a 2-D input are channels.
+
+    The bytes are those ``scipy.io.wavfile.write`` gives: an 18-byte IEEE
+    float ``fmt `` chunk and a ``fact`` chunk in a 58-byte header, then
+    the interleaved little-endian samples.
+    """
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr.T
-    wavfile.write(str(path), int(sample_rate), arr.astype(np.float32))
+    frames = np.ascontiguousarray(arr.T if arr.ndim == 2 else arr, dtype="<f4")
+    channels = frames.shape[1] if frames.ndim == 2 else 1
+    rate, size = int(sample_rate), frames.nbytes
+    if size > 0xFFFFFFFF - 50 or 4 * channels * rate > 0xFFFFFFFF:
+        raise ValueError(f"{path}: a WAV header cannot hold {size} bytes of {channels}-channel samples at {rate} Hz")
+    header = b"".join([
+        b"RIFF", struct.pack("<I", 50 + size), b"WAVE",
+        b"fmt ", struct.pack("<IHHIIHHH", 18, _IEEE_FLOAT, channels, rate, 4 * channels * rate, 4 * channels, 32, 0),
+        b"fact", struct.pack("<II", 4, frames.shape[0]),
+        b"data", struct.pack("<I", size),
+    ])
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(frames.data)
 
 
 def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
-    """Read a WAV as float64, channels-first: (sample_rate, (M, S))."""
-    rate, data = wavfile.read(str(path))
-    if data.dtype == np.int16:
-        data = data / 32768.0
-    elif data.dtype == np.int32:
-        data = data / 2147483648.0
-    elif data.dtype == np.uint8:
-        data = (data.astype(np.float64) - 128.0) / 128.0
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    else:
-        arr = arr.T
+    """Read a WAV as float64, channels-first: (sample_rate, (M, S)).
+
+    Reads little-endian RIFF files, plain or WAVE_FORMAT_EXTENSIBLE, of
+    unsigned 8-bit, 16-, 24- or 32-bit PCM, or of 32- or 64-bit IEEE
+    float samples. PCM is scaled to [-1, 1). Any other file, or one cut
+    short, is a ``ValueError`` naming ``path``.
+    """
+    raw = memoryview(Path(path).read_bytes())
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a little-endian RIFF WAVE file")
+    fmt = data = None
+    pos = 12
+    while data is None and pos + 8 <= len(raw):
+        chunk, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{path}: WAV is cut short in its {chunk.decode('latin-1')!r} chunk")
+        if chunk == b"fmt ":
+            fmt = body
+        elif chunk == b"data":
+            data = body
+        pos += 8 + size + size % 2
+    if data is None:
+        raise ValueError(f"{path}: WAV has no data chunk")
+    if fmt is None or len(fmt) < 16:
+        raise ValueError(f"{path}: WAV has no fmt chunk before its data")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _SUBFORMAT_TAIL:
+        tag = struct.unpack_from("<I", fmt, 24)[0]
+    if (tag, bits) not in _SAMPLE_FORMATS or channels == 0 or block_align != channels * bits // 8:
+        raise ValueError(f"{path}: unsupported WAV format (tag {tag:#x}, {channels} channels, {bits} bits)")
+    if len(data) % block_align:
+        raise ValueError(f"{path}: WAV data is not a whole number of frames")
+    dtype, offset, scale = _SAMPLE_FORMATS[tag, bits]
+    if bits == 24:
+        wide = np.zeros((len(data) // 3, 4), np.uint8)
+        wide[:, 1:] = np.frombuffer(data, np.uint8).reshape(-1, 3)
+        data = wide
+    arr = np.frombuffer(data, dtype).astype(np.float64)
+    if scale != 1.0:
+        arr = (arr - offset) / scale
+    arr = arr.reshape(-1, channels).T
     if arr.size == 0:
         raise ValueError(f"{path}: WAV has no samples")
     if not np.isfinite(arr).all():
         raise ValueError(f"{path}: WAV has non-finite samples")
-    return int(rate), arr
+    return rate, arr
 
 
 def _read_mono_wavs(paths: list[str | Path]) -> tuple[int, list[np.ndarray]]:
@@ -201,13 +262,14 @@ def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Pat
     del x  # the run holds the spectrogram alone
     counter = SolveCounter()
     result = _separate(config, spec, counter=counter)
+    del spec  # only the outputs are held through synthesis and the writes
     estimates = synthesize(result.outputs)
     out = Path(out_dir)
     (out / "estimates").mkdir(parents=True, exist_ok=True)
     for i in range(estimates.shape[0]):
         write_wav(out / "estimates" / f"src{i:02d}.wav", sample_rate, estimates[i])
     _write_trace(out / "trace.csv", result)
-    _write_report(out / "report.json", config, spec, counter, result)
+    _write_report(out / "report.json", config, counter, result)
     return out
 
 
@@ -224,23 +286,22 @@ def _write_trace(path: Path, result: RunResult) -> None:
 def _write_report(
     path: Path,
     config: RunConfig,
-    spec: Spectrogram,
     counter: SolveCounter,
     result: RunResult,
 ) -> None:
-    trace = result.trace
+    trace, outputs = result.trace, result.outputs  # square: outputs have the mixture's shape
     iters = trace.iterations
-    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(spec.n_channels)
+    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(outputs.n_channels)
     measured = (
-        (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * spec.n_bins)
+        (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * outputs.n_bins)
         if iters > 0
         else 0.0
     )
     report = {
         "config": asdict(config),
-        "n_bins": spec.n_bins,
-        "n_frames": spec.n_frames,
-        "n_channels": spec.n_channels,
+        "n_bins": outputs.n_bins,
+        "n_frames": outputs.n_frames,
+        "n_channels": outputs.n_channels,
         "final_cost": trace.costs[-1],
         "iteration_solves": counter.iteration_solves,
         "projection_solves": counter.projection_solves,

@@ -5,13 +5,17 @@ decaying noise tail; sources are seeded two-band resonator noise with
 independent slow amplitude envelopes, which gives each source a
 distinct low-rank time-frequency footprint. Everything is derived
 deterministically from the config seed.
+
+The module runs on numpy alone, yet reproduces the scipy build that
+defined the fixtures bit for bit: the resonators run the exact
+recursion of ``scipy.signal.lfilter`` and the room convolves at the
+FFT length of ``scipy.signal.fftconvolve``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 # Distinct stream tags so per-purpose generators never collide.
 _RIR_TAG = 7919
@@ -126,6 +130,44 @@ class MixResult:
     noise: np.ndarray  # (M, S)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= ``n``: the FFT length
+    that ``fftconvolve`` pads a real convolution of length ``n`` to."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            q = p << ((n - 1) // p).bit_length()  # p times the least power of two reaching n
+            if q < best:
+                best = q
+            p *= 3
+        p5 *= 5
+    return best
+
+
+def _transfer(h: np.ndarray, n_samples: int) -> tuple[np.ndarray, int]:
+    """``h``'s spectrum at the FFT length of a convolution with ``n_samples``
+    samples: (spectrum, length). ``fftconvolve`` multiplies a length-1
+    operand directly, so then it is ``(h, 0)``."""
+    if min(h.size, n_samples) == 1:
+        return h, 0
+    size = _fft_length(n_samples + h.size - 1)
+    return np.fft.rfft(h, size), size
+
+
+def _convolve(x: np.ndarray, gain: np.ndarray, size: int, spectra: dict[int, np.ndarray]) -> np.ndarray:
+    """``fftconvolve(x, h)`` bit for bit, given ``(gain, size) = _transfer(h, x.size)``.
+
+    ``spectra`` keeps x's spectrum per FFT length, so each is taken once.
+    """
+    if not size:
+        return x * gain
+    if size not in spectra:
+        spectra[size] = np.fft.rfft(x, size)
+    return np.fft.irfft(spectra[size] * gain, size)
+
+
 def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     """Convolve, normalize, and sum sources into an M-channel mixture.
 
@@ -149,18 +191,18 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     rirs = [[make_rir(cfg, i, j) for j in range(m)] for i in range(n)]
 
     scaled = np.empty_like(s)
+    full = np.empty((n, m, n_samples))
+    direct = np.zeros((n, m, n_samples))
     for i in range(n):
-        image = fftconvolve(s[i], rirs[i][0])[:n_samples]
+        transfers = [_transfer(h, n_samples) for h in rirs[i]]
+        image = _convolve(s[i], *transfers[0], {})[:n_samples]
         power = float(np.mean(image**2))
         if power == 0.0:
             raise ValueError(f"source {i} produces a silent image at the first mic")
         scaled[i] = s[i] / np.sqrt(power)
-
-    full = np.zeros((n, m, n_samples))
-    direct = np.zeros((n, m, n_samples))
-    for i in range(n):
+        spectra: dict[int, np.ndarray] = {}
         for j in range(m):
-            full[i, j] = fftconvolve(scaled[i], rirs[i][j])[:n_samples]
+            full[i, j] = _convolve(scaled[i], *transfers[j], spectra)[:n_samples]
             delay, gain = paths[i, j]
             direct[i, j, delay:] = gain * scaled[i, : n_samples - delay]
 
@@ -179,6 +221,23 @@ def _segment_envelope(rng: np.random.Generator, n_samples: int, sample_rate: int
     n_knots = n_samples // seg + 2
     knots = rng.uniform(0.05, 1.0, size=n_knots)
     return np.interp(np.arange(n_samples), np.arange(n_knots) * seg, knots)
+
+
+def _resonate(x: list[float], a1: float, a2: float):
+    """Yield ``lfilter([1], [1, a1, a2], x)`` sample by sample, bit for bit.
+
+    scipy's transposed direct form rounds each step as
+    ``y[i] = x[i] + (-(a2 * y[i-2]) - a1 * y[i-1])``. With the
+    coefficients negated once this is ``x[i] + (y[i-2] * -a2 + y[i-1] * -a1)``:
+    the same bits, since negation is exact and ``a - b`` is ``a + -b``.
+    The coefficients become Python floats, because numpy scalars would
+    make every step a numpy scalar operation, about twice as slow.
+    """
+    b1, b2 = -float(a1), -float(a2)
+    y1 = y2 = 0.0
+    for v in x:
+        y1, y2 = v + (y2 * b2 + y1 * b1), y1
+        yield y1
 
 
 def make_sources(
@@ -202,8 +261,8 @@ def make_sources(
         for freq in (low, high):
             radius = rng.uniform(0.90, 0.96)
             theta = np.pi * freq / nyquist
-            band = lfilter([1.0], [1.0, -2.0 * radius * np.cos(theta), radius**2],
-                           rng.standard_normal(n_samples))
+            noise = rng.standard_normal(n_samples).tolist()
+            band = np.fromiter(_resonate(noise, -2.0 * radius * np.cos(theta), radius**2), np.float64, n_samples)
             band /= np.sqrt(np.mean(band**2))
             sig += band * _segment_envelope(rng, n_samples, sample_rate)
         # Broadband floor keeps every band excited, which keeps the

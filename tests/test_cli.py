@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+import weakref
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -97,6 +98,15 @@ def test_wav_round_trip(tmp_path):
     write_wav(tmp_path / "m.wav", FS, mono)
     _, back = read_wav(tmp_path / "m.wav")
     assert back.shape == (1, 300)
+
+
+def test_a_rate_no_wav_header_holds_exits_2_naming_the_file(tmp_path, capsys):
+    with pytest.raises(ValueError, match="x.wav"):
+        write_wav(tmp_path / "x.wav", 2**30, np.zeros((1, 8)))
+    argv = ["simulate", "--out", str(tmp_path / "s"), "--sample-rate", str(10**9), "--duration", "1e-6", "--rt60", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "mixture.wav" in err
 
 
 def test_simulate_artifacts(tmp_path):
@@ -214,6 +224,29 @@ def test_separate_artifacts_and_solve_law(tmp_path):
     assert len(rows) == cfg.iterations + 1
     costs = np.array([float(r["cost"]) for r in rows])
     assert np.all(np.diff(costs) <= 1e-8 * np.abs(costs[:-1]))
+
+
+def test_separate_lets_go_of_the_observation_before_synthesis(tmp_path, monkeypatch):
+    """Only the outputs are held through synthesis; the report reads its shape from them."""
+    sim = simulate_tree(tmp_path, seed=5)
+    analyzed, alive_at_synthesis = [], []
+
+    def analyze(*args):
+        spec = cli_analyze(*args)
+        analyzed.append(weakref.ref(spec))
+        return spec
+
+    def synthesize(spec):
+        alive_at_synthesis.append(analyzed[0]() is not None)
+        return cli_synthesize(spec)
+
+    cli_analyze, cli_synthesize = cli.analyze, cli.synthesize
+    monkeypatch.setattr(cli, "analyze", analyze)
+    monkeypatch.setattr(cli, "synthesize", synthesize)
+    cmd_separate(sim / "mixture.wav", RunConfig(variant="ilrma-t-iss-seq", **FAST), tmp_path / "sep")
+    assert alive_at_synthesis == [False]
+    report = json.loads((tmp_path / "sep" / "report.json").read_text())
+    assert (report["n_bins"], report["n_channels"], report["n_frames"]) == (129, 2, 64)
 
 
 def test_separate_solve_law_with_solves(tmp_path):

@@ -1,9 +1,13 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function or class is referenced somewhere, only
 the STFT module converts array layout, only the stacking module reads the
-demixer's whole square ``matrix``, and only simulation and the CLI import scipy."""
+demixer's whole square ``matrix``, and numpy is the only runtime dependency:
+no module imports scipy, and importing the package loads none of it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import drbss
@@ -115,10 +119,17 @@ def test_scanner_names_imported_packages():
     assert imported_packages(source) == {"numpy", "scipy"}
 
 
-def test_only_simulation_and_the_cli_import_scipy():
-    """Separation, stacking, the STFT and the metrics run on numpy alone."""
-    found = sorted(p.name for p in SOURCES if "scipy" in imported_packages(p.read_text()))
-    assert found == ["cli.py", "sim.py"]
+def test_no_module_imports_scipy():
+    """The simulator, the WAV codec and the engine all run on numpy and the standard library alone."""
+    found = {p.name: imported_packages(p.read_text()) - set(sys.stdlib_module_names) for p in SOURCES}
+    assert {name: packages for name, packages in found.items() if not packages <= {"numpy"}} == {}
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    code = "import sys, drbss, drbss.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = os.environ | {"PYTHONPATH": str(Path(drbss.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert done.stdout == "[]\n"
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
