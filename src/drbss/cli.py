@@ -18,11 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .ilrma_t import VARIANTS, AlgorithmVariant, RunResult, projection_back, run
-from .linalg import NumericalError, SolveCounter
+from .linalg import NumericalError
 from .metrics import evaluate, mean_delta_si_sdr, mixture_baseline
 from .sim import SyntheticRoomConfig, make_sources, mix
 from .stacking import TapConfig
 from .stft import Spectrogram, StftConfig, analyze, synthesize
+
+
+def _reject_unknown(data: dict, allowed: set[str], what: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 @dataclass
@@ -58,9 +64,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        _reject_unknown(data, {f.name for f in fields(cls)}, "config")
         return cls(**data)
 
 
@@ -139,8 +143,10 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         pos += 8 + size + size % 2
     if data is None:
         raise ValueError(f"{path}: WAV has no data chunk")
-    if fmt is None or len(fmt) < 16:
+    if fmt is None:
         raise ValueError(f"{path}: WAV has no fmt chunk before its data")
+    if len(fmt) < 16:
+        raise ValueError(f"{path}: WAV fmt chunk is too short ({len(fmt)} of at least 16 bytes)")
     tag, channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if tag == _EXTENSIBLE and len(fmt) >= 40 and fmt[28:40] == _SUBFORMAT_TAIL:
         tag = struct.unpack_from("<I", fmt, 24)[0]
@@ -183,10 +189,7 @@ def _read_mono_wavs(paths: list[str | Path]) -> tuple[int, list[np.ndarray]]:
 
 def room_config_from_dict(data: dict) -> tuple[SyntheticRoomConfig, float]:
     """Strict room config; returns (config, builtin source duration)."""
-    allowed = {f.name for f in fields(SyntheticRoomConfig)} | {"duration"}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    _reject_unknown(data, {f.name for f in fields(SyntheticRoomConfig)} | {"duration"}, "config")
     data = dict(data)
     duration = data.pop("duration", 4.0)
     if type(duration) not in (int, float) or not 0 < duration < np.inf:
@@ -260,8 +263,7 @@ def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Pat
     sample_rate, x = read_wav(mixture_path)
     spec = analyze(x, config.stft(sample_rate))
     del x  # the run holds the spectrogram alone
-    counter = SolveCounter()
-    result = _separate(config, spec, counter=counter)
+    result = _separate(config, spec)
     del spec  # only the outputs are held through synthesis and the writes
     estimates = synthesize(result.outputs)
     out = Path(out_dir)
@@ -269,7 +271,7 @@ def cmd_separate(mixture_path: str | Path, config: RunConfig, out_dir: str | Pat
     for i in range(estimates.shape[0]):
         write_wav(out / "estimates" / f"src{i:02d}.wav", sample_rate, estimates[i])
     _write_trace(out / "trace.csv", result)
-    _write_report(out / "report.json", config, counter, result)
+    _write_report(out / "report.json", config, result)
     return out
 
 
@@ -283,28 +285,21 @@ def _write_trace(path: Path, result: RunResult) -> None:
             writer.writerow([i, repr(float(value)), solves, f"{wall:.3f}"])
 
 
-def _write_report(
-    path: Path,
-    config: RunConfig,
-    counter: SolveCounter,
-    result: RunResult,
-) -> None:
+def _write_report(path: Path, config: RunConfig, result: RunResult) -> None:
+    """The run's shape, final cost and solve counts: the trace's last cumulative count,
+    and one projection-back solve per bin when ``scales`` says it ran."""
     trace, outputs = result.trace, result.outputs  # square: outputs have the mixture's shape
-    iters = trace.iterations
+    iters, solves = trace.iterations, trace.cumulative_solves
     expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(outputs.n_channels)
-    measured = (
-        (trace.cumulative_solves[-1] - trace.cumulative_solves[0]) / (iters * outputs.n_bins)
-        if iters > 0
-        else 0.0
-    )
+    measured = (solves[-1] - solves[0]) / (iters * outputs.n_bins) if iters > 0 else 0.0
     report = {
         "config": asdict(config),
         "n_bins": outputs.n_bins,
         "n_frames": outputs.n_frames,
         "n_channels": outputs.n_channels,
         "final_cost": trace.costs[-1],
-        "iteration_solves": counter.iteration_solves,
-        "projection_solves": counter.projection_solves,
+        "iteration_solves": solves[-1],
+        "projection_solves": 0 if result.scales is None else len(result.scales),
         "solve_law": {
             "expected_per_bin_iteration": expected,
             "measured_per_bin_iteration": measured,
@@ -359,6 +354,8 @@ def cmd_eval(
         raise ValueError("references, estimates, and mixture have different sample rates")
     if refs.shape[0] != ests.shape[0]:
         raise ValueError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
+    if mixture.shape != refs.shape:
+        raise ValueError(f"{mix_path}: mixture of shape {mixture.shape}, references of shape {refs.shape}")
     report = evaluate(refs, ests, mixture, rate_r)
 
     scores = {k: v for k, v in asdict(report).items() if k != "permutation"}
@@ -400,9 +397,7 @@ _ROOM_KEYS = {"sample_rate", "rt60", "snr", "tail_gain", "duration"}
 def _load_matrix(path: str | Path) -> dict:
     """The matrix, with one validated ``RunConfig`` per variant and the room."""
     data = _load_json_dict(path)
-    unknown = sorted(set(data) - set(_MATRIX_DEFAULTS) - _RUN_KEYS - _ROOM_KEYS)
-    if unknown:
-        raise ValueError(f"unknown matrix keys: {', '.join(unknown)}")
+    _reject_unknown(data, set(_MATRIX_DEFAULTS) | _RUN_KEYS | _ROOM_KEYS, "matrix")
     matrix = _MATRIX_DEFAULTS | data
     for key in ("variants", "n_sources", "seeds"):
         if type(matrix[key]) is not list or not matrix[key]:
@@ -423,40 +418,25 @@ def _bench_cell(config: RunConfig, n_sources: int, matrix: dict) -> list[dict]:
     try:
         room = replace(room, n_sources=n_sources, seed=config.seed)
         fs = room.sample_rate
-        sources = make_sources(n_sources, int(round(duration * fs)), fs, config.seed)
-        result = mix(sources, room)
+        result = mix(make_sources(n_sources, int(round(duration * fs)), fs, config.seed), room)
         refs = result.direct_images[:, 0, :]
         _, baseline = mixture_baseline(refs, result.mixture)  # the same at every checkpoint
         spec = analyze(result.mixture, config.stft(fs))
         del result  # the run holds the spectrogram and the references alone
-
         deltas: dict[int, float] = {}
 
         def checkpoint(iteration: int, outputs: np.ndarray, dm) -> None:
-            if iteration % metric_every:
+            """Score every ``metric_every``-th state and the final one, which ``run`` returns."""
+            if iteration % metric_every and iteration != config.iterations:
                 return
-            if iteration > 0 and dm is not None:  # the run goes on with the live outputs
+            if iteration > 0 and dm is not None:  # as run ends, on a copy: the run goes on with these
                 outputs = outputs.copy()
                 projection_back(dm, outputs)
-            est = synthesize(Spectrogram(outputs, config.stft(fs), sources.shape[1]))
+            est = synthesize(Spectrogram(outputs, spec.config, spec.n_samples))
             deltas[iteration] = mean_delta_si_sdr(refs, est, baseline)
 
-        run_result = _separate(config, spec, callback=checkpoint)
-        if config.iterations not in deltas:  # the last checkpoint already scored the final state
-            final_est = synthesize(run_result.outputs)
-            deltas[config.iterations] = mean_delta_si_sdr(refs, final_est, baseline)
-        rows = []
-        for iteration in sorted(deltas):
-            rows.append(
-                base
-                | {
-                    "iteration": iteration,
-                    "cost": run_result.trace.costs[iteration],
-                    "delta_si_sdr": deltas[iteration],
-                    "status": "ok",
-                }
-            )
-        return rows
+        costs = _separate(config, spec, callback=checkpoint).trace.costs
+        return [base | {"iteration": i, "cost": costs[i], "delta_si_sdr": d, "status": "ok"} for i, d in deltas.items()]
     except MemoryError:  # a room too large to allocate is a bad matrix: exit 2, not a failed cell
         raise
     except Exception as exc:  # failed cells are recorded, the sweep continues
@@ -484,25 +464,18 @@ def cmd_bench(matrix_path: str | Path, out_dir: str | Path) -> Path:
             for row in rows:
                 writer.writerow(row)
 
-    summary: dict[tuple[str, int], dict] = {}
-    for rows in cell_rows:
-        key = (rows[0]["variant"], rows[0]["n_sources"])
-        entry = summary.setdefault(key, {"cells": 0, "failed": 0, "cost": [], "delta": []})
-        entry["cells"] += 1
-        if rows[-1]["status"] != "ok":
-            entry["failed"] += 1
-        else:
-            entry["cost"].append(rows[-1]["cost"])
-            entry["delta"].append(rows[-1]["delta_si_sdr"])
+    last_rows: dict[tuple[str, int], list[dict]] = {}  # each cell's last row, per (variant, n_sources)
+    for *_, last in cell_rows:
+        last_rows.setdefault((last["variant"], last["n_sources"]), []).append(last)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["variant", "n_sources", "cells", "failed", "mean_final_cost", "mean_final_delta_si_sdr"]
         )
-        for (variant, n), entry in summary.items():
-            mean_cost = float(np.mean(entry["cost"])) if entry["cost"] else ""
-            mean_delta = float(np.mean(entry["delta"])) if entry["delta"] else ""
-            writer.writerow([variant, n, entry["cells"], entry["failed"], mean_cost, mean_delta])
+        for (variant, n), rows in last_rows.items():
+            ok = [row for row in rows if row["status"] == "ok"]
+            means = [float(np.mean([row[k] for row in ok])) if ok else "" for k in ("cost", "delta_si_sdr")]
+            writer.writerow([variant, n, len(rows), len(rows) - len(ok), *means])
     return out
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .stft import hann_window
 
@@ -76,12 +77,10 @@ def si_sir(references: np.ndarray, estimate: np.ndarray, target_index: int) -> f
     return _ratio_db(float(np.dot(target, target)), float(np.dot(interference, interference)))
 
 
-def _real_cepstra(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Real cepstra of overlapping Hann-windowed frames, coefficients 1..24."""
-    n_frames = (x.size - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = x[idx] * hann_window(frame_len)
-    mag = np.abs(np.fft.rfft(frames, axis=1))
+def _real_cepstra(frames: np.ndarray) -> np.ndarray:
+    """Real cepstra of the Hann-windowed rows of ``frames``, coefficients 1..24."""
+    frame_len = frames.shape[1]
+    mag = np.abs(np.fft.rfft(frames * hann_window(frame_len), axis=1))
     log_mag = np.log(np.maximum(mag, _LOG_FLOOR))
     ceps = np.fft.irfft(log_mag, n=frame_len, axis=1)
     return ceps[:, 1 : _CEPSTRAL_COEFFS + 1]
@@ -100,16 +99,13 @@ def cepstral_distance(reference: np.ndarray, estimate: np.ndarray, sample_rate: 
     hop = frame_len // 2
     if ref.size < frame_len:
         raise ValueError("signals are shorter than one analysis frame")
-    c_ref = _real_cepstra(ref, frame_len, hop)
-    c_est = _real_cepstra(est, frame_len, hop)
-    n_frames = c_ref.shape[0]
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    energies = np.sum(ref[idx] ** 2, axis=1)
+    ref_frames, est_frames = (sliding_window_view(x, frame_len)[::hop] for x in (ref, est))
+    energies = np.sum(ref_frames**2, axis=1)
     peak = float(energies.max())
     if peak == 0.0:
         raise ValueError("reference signal is all zero")
     active = energies >= peak * 10.0 ** (_ACTIVE_FLOOR_DB / 10.0)
-    diff = c_ref[active] - c_est[active]
+    diff = _real_cepstra(ref_frames)[active] - _real_cepstra(est_frames)[active]
     per_frame = (10.0 / np.log(10.0)) * np.sqrt(2.0 * np.sum(diff**2, axis=1))
     return float(np.clip(np.mean(per_frame), 0.0, DB_CAP))
 

@@ -10,7 +10,19 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from drbss import SyntheticRoomConfig, cli, make_sources
+from drbss import (
+    AlgorithmVariant,
+    SolveCounter,
+    StftConfig,
+    SyntheticRoomConfig,
+    TapConfig,
+    analyze,
+    cli,
+    make_sources,
+    mix,
+    run,
+    synthesize,
+)
 from drbss.cli import (
     RunConfig,
     cmd_bench,
@@ -23,6 +35,7 @@ from drbss.cli import (
     room_config_from_dict,
     write_wav,
 )
+from drbss.metrics import mean_delta_si_sdr, mixture_baseline
 
 FS = 8000
 FAST = {"frame_len": 256, "hop": 128, "iterations": 5, "taps": 2}
@@ -259,6 +272,34 @@ def test_separate_solve_law_with_solves(tmp_path):
     assert report["solve_law"]["consistent"] is True
 
 
+@pytest.mark.parametrize("iterations", [0, 3])
+@pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
+def test_report_solve_counts_match_a_counter_passed_to_run(tmp_path, variant, iterations):
+    """report.json reads its counts from the run's trace and scales; a live counter agrees."""
+    sim = simulate_tree(tmp_path, seed=5)
+    cfg = RunConfig(variant=variant, **(FAST | {"iterations": iterations}))
+    cmd_separate(sim / "mixture.wav", cfg, tmp_path / "sep")
+    report = json.loads((tmp_path / "sep" / "report.json").read_text())
+    rate, x = read_wav(sim / "mixture.wav")
+    counter = SolveCounter()
+    run(
+        AlgorithmVariant(variant),
+        analyze(x, cfg.stft(rate)),
+        iterations=iterations,
+        taps=TapConfig(cfg.taps, cfg.delay),
+        n_bases=cfg.n_bases,
+        seed=cfg.seed,
+        wpe_iterations=cfg.wpe_init_iters,
+        counter=counter,
+    )
+    assert (report["iteration_solves"], report["projection_solves"]) == (
+        counter.iteration_solves,
+        counter.projection_solves,
+    )
+    if iterations > 0 and variant != "wpe":  # one projection-back solve per bin
+        assert counter.projection_solves == report["n_bins"]
+
+
 def test_separate_zero_iterations_passes_mixture_through(tmp_path):
     sim = simulate_tree(tmp_path, seed=7)
     out = tmp_path / "sep0"
@@ -341,6 +382,34 @@ def test_bench_grid_with_failed_cell(tmp_path):
     assert failed[("ilrma-iss", "2")] == "0"
 
 
+def test_bench_scores_the_final_state_off_the_checkpoint_grid(tmp_path):
+    """With iterations not a multiple of metric_every, the last row is the state run returns."""
+    matrix = {
+        "variants": ["ilrma-t-iss-seq", "wpe"],
+        "seeds": [0],
+        "iterations": 5,
+        "metric_every": 2,
+        "duration": 1.0,
+        "frame_len": 256,
+        "hop": 128,
+    }
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix))
+    with open(cmd_bench(path, tmp_path / "bench") / "curves.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    room = SyntheticRoomConfig(2, sample_rate=FS, seed=0)
+    mixed = mix(make_sources(2, FS, FS, 0), room)
+    refs = mixed.direct_images[:, 0, :]
+    baseline = mixture_baseline(refs, mixed.mixture)[1]
+    spec = analyze(mixed.mixture, StftConfig(256, 128, FS))
+    for variant in matrix["variants"]:
+        cell = [r for r in rows if r["variant"] == variant]
+        assert [int(r["iteration"]) for r in cell] == [0, 2, 4, 5]
+        result = run(AlgorithmVariant(variant), spec, iterations=5)
+        assert float(cell[-1]["cost"]) == result.trace.costs[-1]
+        assert float(cell[-1]["delta_si_sdr"]) == mean_delta_si_sdr(refs, synthesize(result.outputs), baseline)
+
+
 def test_bench_scores_the_mixture_baseline_once_per_cell(tmp_path, monkeypatch):
     """A cell's mixture and references do not change between checkpoints."""
     calls = []
@@ -370,6 +439,21 @@ def test_bench_scores_the_mixture_baseline_once_per_cell(tmp_path, monkeypatch):
     assert len(calls) == 4
     # the unprocessed mixture scored against its own baseline gains exactly nothing
     assert all(float(r["delta_si_sdr"]) == 0.0 for r in rows if r["iteration"] == "0")
+
+
+def test_eval_names_a_mixture_that_does_not_match_the_references(tmp_path, capsys):
+    """A mixture with the wrong channel count or length is blamed, not the estimates."""
+    sim = simulate_tree(tmp_path, seed=10)
+    _, refs = read_wav(sim / "refs" / "direct" / "src00.wav")
+    for name, shape in (("three_channels", (3, refs.shape[1])), ("longer", (2, refs.shape[1] * 3 // 2))):
+        mixture = tmp_path / f"{name}.wav"
+        write_wav(mixture, FS, 0.1 * np.random.default_rng(0).standard_normal(shape))
+        capsys.readouterr()
+        argv = ["eval", "--refs", str(sim), "--estimates", str(sim / "refs" / "direct"), "--mixture", str(mixture)]
+        assert main(argv + ["--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(mixture) in err and str(shape) in err, err
+        assert not (tmp_path / name).exists()
 
 
 def test_bench_rejects_bad_matrix(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Source hygiene: every name a module or test file imports is used in that file,
-every module-level private function or class is referenced somewhere, only
+every module-level private function, class or constant is read somewhere, only
 the STFT module converts array layout, only the stacking module reads the
 demixer's whole square ``matrix``, and numpy is the only runtime dependency:
 no module imports scipy, and importing the package loads none of it."""
@@ -132,26 +132,38 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     assert done.stdout == "[]\n"
 
 
+def module_level_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines: a function, a class, or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        names = (n for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        return [n.id for n in names if isinstance(n.ctx, ast.Store)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and classes that no module in ``sources`` reads."""
+    """Module-level ``_name`` functions, classes and constants that no module in
+    ``sources`` reads; an assignment is not a read, and dunders are exempt."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    return [
-        f"{name}: {node.name}"
+    return list(dict.fromkeys(
+        f"{name}: {defined}"
         for name, tree in sorted(trees.items())
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and node.name not in used
-    ]
+        for defined in module_level_names(node)
+        if defined.startswith("_") and not defined.startswith("__") and defined not in used
+    ))
 
 
 def test_scanner_flags_an_unreferenced_private_def():
@@ -160,6 +172,15 @@ def test_scanner_flags_an_unreferenced_private_def():
         "b.py": "from a import _Kept\n",
     }
     assert unreferenced_private_defs(sources) == ["a.py: _orphan"]
+
+
+def test_scanner_flags_a_private_constant_nothing_reads():
+    sources = {
+        "a.py": "_READ, _DEAD = 1, 2\n_STORED: int = 3\n_STORED = 4\n__all__ = []\nprint(_READ)\n",
+        "b.py": "import a\nprint(a._ATTR)\n",
+        "c.py": "_ATTR = 5\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a.py: _DEAD", "a.py: _STORED"]
 
 
 def test_no_private_def_is_left_unreferenced():

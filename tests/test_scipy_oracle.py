@@ -193,6 +193,8 @@ def test_a_cut_or_unsupported_wav_exits_2_naming_its_path(tmp_path, capsys):
         "no_fmt": b"RIFF" + struct.pack("<I", 12 + len(pcm)) + b"WAVEdata" + struct.pack("<I", len(pcm)) + pcm,
         "odd_guid": wav_bytes(1, 1, 16, pcm, extensible=True).replace(b"\x00\x38\x9b\x71", b"\x00\x38\x9b\x72"),
         "partial_frame": wav_bytes(1, 2, 16, pcm[:6]),
+        "short_fmt": b"RIFF" + struct.pack("<I", 28 + len(pcm)) + b"WAVEfmt " + struct.pack("<IHHI", 8, 1, 1, 8000)
+        + b"data" + struct.pack("<I", len(pcm)) + pcm,
     }
     for name, data in bad.items():
         path = tmp_path / f"{name}.wav"
@@ -203,4 +205,6 @@ def test_a_cut_or_unsupported_wav_exits_2_naming_its_path(tmp_path, capsys):
         assert main(["separate", str(path), "--out", str(tmp_path / "out")]) == 2, name
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err, (name, err)
+        if name == "short_fmt":
+            assert err.endswith(f"{path}: WAV fmt chunk is too short (8 of at least 16 bytes)\n"), err
     assert not (tmp_path / "out").exists()
