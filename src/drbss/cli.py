@@ -354,6 +354,8 @@ def cmd_eval(
         raise ValueError("references, estimates, and mixture have different sample rates")
     if refs.shape[0] != ests.shape[0]:
         raise ValueError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
+    if ests.shape != refs.shape:
+        raise ValueError(f"{estimates_dir}: estimates of shape {ests.shape}, references of shape {refs.shape}")
     if mixture.shape != refs.shape:
         raise ValueError(f"{mix_path}: mixture of shape {mixture.shape}, references of shape {refs.shape}")
     report = evaluate(refs, ests, mixture, rate_r)

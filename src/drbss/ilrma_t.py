@@ -145,18 +145,18 @@ def _steering_sweep_over_taps(
         start = last - sx.lags[k // n]
         return of[:, k % n, start : start + t]
 
-    def sweep(top, data, inv, outputs):  # one bin block, padded; every lag reads its hoisted conj and power
+    def sweep(top, data, inv, outputs):  # one bin block, padded; every lag reads its hoisted power
         padded = np.empty((len(data), n, t + last), dtype=data.dtype)  # a quarter of np.pad's time per block
         padded[:, :, :last], padded[:, :, last:] = 0, data
-        conj, power = padded.conj(), np.abs(padded) ** 2
+        power = np.abs(padded) ** 2
         work = np.empty_like(outputs)
         for k in range(n, sx.dim):
             weighted = np.multiply(outputs, inv, out=work)
-            gains, _ = steering_gains(weighted, inv, row(conj, k), row(power, k))
+            gains, _ = steering_gains(weighted, inv, row(padded, k), row(power, k))
             top[:, :, k] -= gains
             outputs -= np.multiply(gains[:, :, None], row(padded, k)[:, None, :], out=work)
 
-    # it touches the block, its padded copy, conj and power, and outputs, work and inv
+    # it touches the block, its padded copy and power, and outputs, work and inv
     over_bins(sweep, 5 * (sx.spec.data.nbytes + outputs.nbytes) // 2, dm.top, sx.spec.data, inv, outputs)
 
 
@@ -282,10 +282,13 @@ def run(
     Every iteration hands ``1 / variances`` to the variant's filter
     update, which rewrites the outputs in place, then runs one
     multiplicative sweep of the variance model and appends the
-    objective. The final outputs are rescaled in place by
-    :func:`projection_back`, except in plain dereverberation and in a
-    zero-iteration run. That run returns the input unchanged, or in
-    the cascades the output of their ``wpe_iterations`` pre-pass.
+    objective. The inverse is C-ordered, so the steering gains' dot
+    products over frames read contiguous memory; the variances stay
+    f-fastest, the order NMF's rounding depends on. The final outputs
+    are rescaled in place by :func:`projection_back`, except in plain
+    dereverberation and in a zero-iteration run. That run returns the
+    input unchanged, or in the cascades the output of their
+    ``wpe_iterations`` pre-pass.
 
     ``callback(iteration, outputs, demixer)`` is invoked at iteration 0
     and after every iteration with live arrays; callers must copy what
@@ -317,7 +320,7 @@ def run(
         callback(0, outputs, dm)
     for i in range(iterations):
         started = time.perf_counter()
-        step(dm, sx, 1.0 / variances, outputs, counter)
+        step(dm, sx, np.divide(1.0, variances, order="C"), outputs, counter)
         dm.assert_structure()
         power = np.abs(outputs) ** 2
         variances = nmf_update(model, power, variances)

@@ -68,17 +68,19 @@ def ip_update_row(top: np.ndarray, cov: np.ndarray, row: int, counter: SolveCoun
 
 
 def steering_gains(
-    weighted: np.ndarray, inv: np.ndarray, pivot_conj: np.ndarray, pivot_power: np.ndarray
+    weighted: np.ndarray, inv: np.ndarray, pivot: np.ndarray, pivot_power: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 steering gains of every output y against a pivot p, shape (F, N).
 
     ``weighted`` is y / r, (F, N, T), for the inverse variances ``inv``; the
-    pivot enters as conj(p) and |p|^2, (F, T), so a sweep can hoist them. Each
+    pivot enters as p and |p|^2, (F, T), so a sweep can hoist the power. Each
     gain is sum_t y conj(p) / r divided by the guarded weighted pivot power
     sum_t |p|^2 / r, which is also returned: the exact coordinate minimizer.
+    Both sums are BLAS dot products over frames (``vecdot`` conjugates its
+    first argument), which read contiguous memory when ``inv`` is C-ordered.
     """
-    num = np.einsum("fmt,ft->fm", weighted, pivot_conj)
-    den = np.maximum(np.einsum("fmt,ft->fm", inv, pivot_power), DENOMINATOR_GUARD)
+    num = np.vecdot(pivot[:, None, :], weighted)
+    den = np.maximum(np.vecdot(inv, pivot_power[:, None, :]), DENOMINATOR_GUARD)
     return num / den, den
 
 
@@ -91,7 +93,7 @@ def iss_coefficients(outputs: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray
     """
     n_frames = outputs.shape[2]
     pivot = outputs[:, n, :]
-    gains, den = steering_gains(outputs * inv, inv, pivot.conj(), np.abs(pivot) ** 2)
+    gains, den = steering_gains(outputs * inv, inv, pivot, np.abs(pivot) ** 2)
     gains[:, n] = 1.0 - np.sqrt(n_frames) / np.sqrt(den[:, n])
     return gains
 

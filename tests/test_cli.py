@@ -456,6 +456,23 @@ def test_eval_names_a_mixture_that_does_not_match_the_references(tmp_path, capsy
         assert not (tmp_path / name).exists()
 
 
+def test_eval_names_estimates_longer_than_the_references(tmp_path, capsys):
+    """Estimates of another length are blamed by their directory, with both shapes."""
+    sim = simulate_tree(tmp_path, seed=11)
+    _, refs = read_wav(sim / "refs" / "direct" / "src00.wav")
+    estimates = tmp_path / "long"
+    estimates.mkdir()
+    shape = (2, refs.shape[1] * 3 // 2)
+    for i, row in enumerate(0.1 * np.random.default_rng(1).standard_normal(shape)):
+        write_wav(estimates / f"est{i:02d}.wav", FS, row)
+    capsys.readouterr()
+    assert main(["eval", "--refs", str(sim), "--estimates", str(estimates), "--out", str(tmp_path / "scores")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(estimates) in err, err
+    assert str(shape) in err and str((2, refs.shape[1])) in err, err
+    assert not (tmp_path / "scores").exists()
+
+
 def test_bench_rejects_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"variants": []}))

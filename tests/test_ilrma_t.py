@@ -14,6 +14,7 @@ from drbss import (
     TapConfig,
     build_stacked,
     cost,
+    demix,
     ilrma_t_ip_iteration,
     ilrma_t_iss_joint_iteration,
     ilrma_t_iss_seq_iteration,
@@ -24,8 +25,10 @@ from drbss import (
     variance,
     wpe_run,
 )
-from drbss import linalg, nmf
-from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, stack_rows
+from drbss import ilrma_t, linalg, nmf
+from drbss.ilrma_t import _steering_sweep_over_taps
+from drbss.separation import iss_coefficients, iss_source_sweep, weighted_cov
+from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, normal_equation_instance, stack_rows
 
 SMALL_TAPS = TapConfig(2, 2)
 
@@ -411,3 +414,93 @@ def test_tapped_variants_differ_from_plain_on_reverberant_input():
     for variant in TAPPED_VARIANTS:
         tapped = run(variant, spec, iterations=5, taps=SMALL_TAPS, seed=12)
         assert not np.allclose(tapped.outputs.data, plain.outputs.data)
+
+
+def inverse_variance_layouts(seed, shape):
+    """The same (F, N, T) inverse variances C-ordered, as ``run`` hands them to a step, and
+    f-fastest, the layout of NMF's variances."""
+    n_bins, n_src, n_frames = shape
+    f_fastest = 1.0 / np.random.default_rng(seed).uniform(0.1, 3.0, (n_src, n_frames, n_bins)).transpose(2, 0, 1)
+    c_ordered = np.ascontiguousarray(f_fastest)
+    assert f_fastest.strides[0] == f_fastest.itemsize and c_ordered.flags.c_contiguous
+    return {"C": c_ordered, "f-fastest": f_fastest}
+
+
+def copy_demixer(dm):
+    return ExtendedDemixer(dm.matrix.copy(), dm.n_channels)
+
+
+@pytest.mark.parametrize("layout", ["C", "f-fastest"])
+def test_tap_sweep_is_an_exact_coordinate_minimizer(layout):
+    """Each tap column's gain is the plain-loop minimizer of sum_t |y|^2 / r against the live
+    outputs, the maintained outputs equal a fresh demix, and no complex nudge of the last
+    column lowers any source's weighted power."""
+    _, sx, dm, _, outputs = normal_equation_instance(seed=4, n_src=2, n_frames=40)
+    inv = inverse_variance_layouts(4, outputs.shape)[layout]
+    tilde, before = stack_rows(sx), dm.top.copy()
+    _steering_sweep_over_taps(dm, sx, inv, outputs)
+
+    n_bins, n, _ = outputs.shape
+    y = before @ tilde
+    for k in range(n, sx.dim):
+        for f in range(n_bins):
+            for m in range(n):
+                num = np.sum(y[f, m] * inv[f, m] * np.conj(tilde[f, k]))
+                den = np.sum(inv[f, m] * np.abs(tilde[f, k]) ** 2)
+                gain = num / den
+                assert abs(before[f, m, k] - dm.top[f, m, k] - gain) <= 1e-10 * max(1.0, abs(gain))
+                y[f, m] -= gain * tilde[f, k]
+    assert np.abs(outputs - demix(dm, sx).data).max() <= 1e-10
+
+    last = tilde[:, None, sx.dim - 1, :]
+    weighted_power = np.sum(np.abs(outputs) ** 2 * inv, axis=2)
+    for nudge in (1e-3, -1e-3, 1e-3j, -1e-3j):  # top[:, :, -1] += nudge moves y by nudge * x_last
+        assert np.all(np.sum(np.abs(outputs + nudge * last) ** 2 * inv, axis=2) > weighted_power)
+
+
+def test_run_hands_every_step_c_ordered_inverse_variances(monkeypatch):
+    seen = []
+
+    def spy(fn, position):
+        def wrapped(*args, **kwargs):
+            seen.append((fn.__name__, args[position].flags.c_contiguous))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(ilrma_t, "iss_source_sweep", spy(iss_source_sweep, 2))
+    monkeypatch.setattr(ilrma_t, "weighted_cov", spy(weighted_cov, 1))
+    spec = small_spec(13)
+    for variant in (AlgorithmVariant.ILRMA_T_ISS_SEQ, AlgorithmVariant.ILRMA_T_IP, AlgorithmVariant.ILRMA_ISS):
+        run(variant, spec, iterations=2, taps=SMALL_TAPS)
+    assert {name for name, _ in seen} == {"iss_source_sweep", "weighted_cov"}
+    assert all(contiguous for _, contiguous in seen), seen
+
+
+def test_ip_steps_are_bit_identical_for_either_inverse_variance_layout():
+    """The IP covariances read ``inv`` only elementwise, so its layout moves no bit."""
+    _, sx, dm, _, outputs = normal_equation_instance(seed=5, n_frames=50)
+    layouts = inverse_variance_layouts(5, outputs.shape).values()
+    assert np.array_equal(*(weighted_cov(sx, inv) for inv in layouts))
+    tops, ys = [], []
+    for inv in layouts:
+        d, y = copy_demixer(dm), outputs.copy()
+        ilrma_t_ip_iteration(d, sx, inv, y)
+        tops.append(d.top)
+        ys.append(y)
+    assert np.array_equal(*tops) and np.array_equal(*ys)
+
+
+def test_steering_steps_agree_across_inverse_variance_layouts():
+    """The steering gains sum over frames, in an order that may follow ``inv``'s layout."""
+    _, sx, dm, _, outputs = normal_equation_instance(seed=6, n_frames=50)
+    results = []
+    for inv in inverse_variance_layouts(6, outputs.shape).values():
+        gains = [iss_coefficients(outputs, inv, n) for n in range(outputs.shape[1])]
+        top, swept = dm.top.copy(), outputs.copy()
+        iss_source_sweep(top, swept, inv)
+        d, tapped = copy_demixer(dm), outputs.copy()
+        _steering_sweep_over_taps(d, sx, inv, tapped)
+        results.append([*gains, top, swept, d.top, tapped])
+    for a, b in zip(*results):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()

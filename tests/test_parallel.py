@@ -26,7 +26,7 @@ from drbss import (
     wpe_dereverb,
     wpe_filter_update,
 )
-from drbss.ilrma_t import _joint_tap_update, ilrma_t_ip_iteration
+from drbss.ilrma_t import _joint_tap_update, ilrma_t_ip_iteration, ilrma_t_iss_seq_iteration
 from tests.conftest import desk_spectrogram, normal_equation_instance, stack_rows
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -172,6 +172,24 @@ def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool, workers
         finally:
             tracemalloc.stop()
         assert extra < tilde_bytes
+
+
+def test_iss_step_holds_less_than_one_output_array(monkeypatch, pool):
+    """The sequential ISS step (source sweep, then the scalar tap sweep) allocates less than one
+    (F, N, T) outputs array beyond its inputs, with its bin blocks on two threads."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    _, sx, dm, variances, outputs = normal_equation_instance()
+    inv = np.divide(1.0, variances, order="C")
+    ilrma_t_iss_seq_iteration(dm, sx, inv, outputs.copy())  # starts the pool's thread
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        ilrma_t_iss_seq_iteration(dm, sx, inv, outputs)
+        extra = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert extra < outputs.nbytes
 
 
 class ThreadTracer(spans.Tracer):
