@@ -352,8 +352,6 @@ def cmd_eval(
     rate_m, mixture = read_wav(mix_path)
     if len({rate_r, rate_e, rate_m}) != 1:
         raise ValueError("references, estimates, and mixture have different sample rates")
-    if refs.shape[0] != ests.shape[0]:
-        raise ValueError(f"{refs.shape[0]} references but {ests.shape[0]} estimates")
     if ests.shape != refs.shape:
         raise ValueError(f"{estimates_dir}: estimates of shape {ests.shape}, references of shape {refs.shape}")
     if mixture.shape != refs.shape:

@@ -246,11 +246,7 @@ VARIANTS = {
 _ITERATIONS = {v: s.step for v, s in VARIANTS.items() if s.step is not None}
 
 
-def projection_back(
-    dm: ExtendedDemixer,
-    outputs: np.ndarray,
-    counter: SolveCounter | None = None,
-) -> np.ndarray:
+def projection_back(dm: ExtendedDemixer, outputs: np.ndarray) -> np.ndarray:
     """Rescale each source of the (F, N, T) ``outputs``, in place, to its image at the first channel.
 
     Returns the (F, N) scales: entry (0, n) of the inverse separation block
@@ -260,8 +256,6 @@ def projection_back(
     rhs = np.zeros((dm.n_channels, 1), dtype=np.complex128)
     rhs[0, 0] = 1.0
     scales = checked_solve(dm.mixing.swapaxes(1, 2), rhs, "separation block")[..., 0]
-    if counter is not None:
-        counter.projection_solves += dm.n_bins
     outputs *= scales[:, :, None]
     return scales
 
@@ -270,7 +264,7 @@ def run(
     variant: AlgorithmVariant,
     spec: Spectrogram,
     iterations: int = 100,
-    taps: TapConfig | None = None,
+    taps: TapConfig = TapConfig(5, 2),
     n_bases: int = 2,
     seed: int = 0,
     wpe_iterations: int = 3,
@@ -297,7 +291,6 @@ def run(
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    taps = taps if taps is not None else TapConfig(5, 2)
     counter = counter if counter is not None else SolveCounter()
 
     traits = VARIANTS[variant]
@@ -329,7 +322,7 @@ def run(
         if callback is not None:
             callback(i + 1, outputs, dm)
 
-    scales = projection_back(dm, outputs, counter) if iterations > 0 else None
+    scales = projection_back(dm, outputs) if iterations > 0 else None
     out_spec = Spectrogram(outputs, work.config, work.n_samples)
     return RunResult(out_spec, trace, dm, scales)
 

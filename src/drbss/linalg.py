@@ -44,16 +44,15 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class SolveCounter:
-    """Tally of dense linear solves, the unit of per-iteration cost.
+    """Tally of the dense linear solves made by the updates, the unit of per-iteration cost.
 
     A solve against one matrix counts once regardless of the number of
     right-hand sides; a batched call counts once per matrix in the
-    batch. Terminal projection-back solves are tallied separately so
-    iteration budgets stay comparable across algorithms.
+    batch. The terminal projection back is not counted: it makes one
+    solve per bin, one per entry of ``RunResult.scales``.
     """
 
     iteration_solves: int = 0
-    projection_solves: int = 0
 
 
 def add_loading(mats: np.ndarray) -> np.ndarray:

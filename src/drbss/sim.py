@@ -88,20 +88,21 @@ class SyntheticRoomConfig:
         return self.n_sources
 
 
-def _direct_path(cfg: SyntheticRoomConfig, source: int, mic: int, rng: np.random.Generator) -> tuple[int, float]:
+def _direct_path(cfg: SyntheticRoomConfig, source: int, mic: int) -> tuple[int, float, np.random.Generator]:
+    """Seed the stream of the RIR from ``source`` to ``mic``; return its spike's (delay, gain) and the stream."""
+    rng = np.random.default_rng([cfg.seed, _RIR_TAG, source, mic])
     delay = int(rng.integers(0, cfg.max_direct_delay + 1))
     gain = 1.0 if mic == 0 else float(rng.uniform(0.5, 1.5))
     if cfg.direct_delays is not None:
         delay = int(cfg.direct_delays[source][mic])
     if cfg.direct_gains is not None:
         gain = float(cfg.direct_gains[source][mic])
-    return delay, gain
+    return delay, gain, rng
 
 
 def make_rir(cfg: SyntheticRoomConfig, source: int, mic: int) -> np.ndarray:
     """Impulse response from ``source`` to ``mic``: spike plus decaying tail."""
-    rng = np.random.default_rng([cfg.seed, _RIR_TAG, source, mic])
-    delay, gain = _direct_path(cfg, source, mic, rng)
+    delay, gain, rng = _direct_path(cfg, source, mic)
     tail_len = int(round(cfg.rt60 * cfg.sample_rate))
     length = max(delay + 1, tail_len)
     h = np.zeros(length)
@@ -183,7 +184,7 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     n_samples = s.shape[1]
     paths = {}
     for i, j in np.ndindex(n, m):
-        paths[i, j] = _direct_path(cfg, i, j, np.random.default_rng([cfg.seed, _RIR_TAG, i, j]))
+        paths[i, j] = _direct_path(cfg, i, j)[:2]
         if paths[i, j][0] >= n_samples:
             key = "direct_delays" if cfg.direct_delays is not None else "max_direct_delay"
             raise ValueError(f"{key}: direct delay {paths[i, j][0]} of source {i} at mic {j} "

@@ -16,7 +16,7 @@ from functools import wraps
 import numpy as np
 
 from . import linalg
-from .linalg import SolveCounter, checked_solve
+from .linalg import checked_solve
 from .stft import Spectrogram
 
 
@@ -158,9 +158,7 @@ def demix(dm: ExtendedDemixer, sx: StackedObservation) -> Spectrogram:
     return Spectrogram(sx.apply(dm.top, np.empty_like(sx.spec.data)), sx.spec.config, sx.spec.n_samples)
 
 
-def split_filter(
-    dm: ExtendedDemixer, counter: SolveCounter | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def split_filter(dm: ExtendedDemixer) -> tuple[np.ndarray, np.ndarray]:
     """Factor the top rows as [W | -W Zbar]: returns (W, Zbar).
 
     W is the separation block and Zbar the implied multichannel linear
@@ -170,5 +168,5 @@ def split_filter(
     tail = dm.top[:, :, dm.n_channels :]
     if tail.shape[2] == 0:
         return w.copy(), tail.copy()
-    zbar = -checked_solve(w, tail, "separation block", counter)
+    zbar = -checked_solve(w, tail, "separation block")
     return w.copy(), zbar

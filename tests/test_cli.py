@@ -275,14 +275,15 @@ def test_separate_solve_law_with_solves(tmp_path):
 @pytest.mark.parametrize("iterations", [0, 3])
 @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
 def test_report_solve_counts_match_a_counter_passed_to_run(tmp_path, variant, iterations):
-    """report.json reads its counts from the run's trace and scales; a live counter agrees."""
+    """report.json reads its counts from the run's trace and scales; a live counter and one
+    projection solve per bin (none for plain dereverberation or no iteration) agree."""
     sim = simulate_tree(tmp_path, seed=5)
     cfg = RunConfig(variant=variant, **(FAST | {"iterations": iterations}))
     cmd_separate(sim / "mixture.wav", cfg, tmp_path / "sep")
     report = json.loads((tmp_path / "sep" / "report.json").read_text())
     rate, x = read_wav(sim / "mixture.wav")
     counter = SolveCounter()
-    run(
+    result = run(
         AlgorithmVariant(variant),
         analyze(x, cfg.stft(rate)),
         iterations=iterations,
@@ -292,12 +293,12 @@ def test_report_solve_counts_match_a_counter_passed_to_run(tmp_path, variant, it
         wpe_iterations=cfg.wpe_init_iters,
         counter=counter,
     )
+    projected = iterations > 0 and variant != "wpe"
     assert (report["iteration_solves"], report["projection_solves"]) == (
         counter.iteration_solves,
-        counter.projection_solves,
+        report["n_bins"] if projected else 0,
     )
-    if iterations > 0 and variant != "wpe":  # one projection-back solve per bin
-        assert counter.projection_solves == report["n_bins"]
+    assert counter.iteration_solves == result.trace.cumulative_solves[-1]
 
 
 def test_separate_zero_iterations_passes_mixture_through(tmp_path):
@@ -340,12 +341,17 @@ def test_eval_after_separation_improves(tmp_path):
 
 
 def test_eval_shape_mismatch(tmp_path):
+    """Too few (and shorter) or too many estimates: one message naming the directory and both shapes."""
     sim = simulate_tree(tmp_path, seed=10)
-    est_dir = tmp_path / "short"
-    est_dir.mkdir()
-    write_wav(est_dir / "src00.wav", FS, np.zeros(100))
-    with pytest.raises(ValueError, match="^2 references but 1 estimates$"):
-        cmd_eval(sim, est_dir, out_dir=tmp_path / "ev10")
+    for name, lengths in [("short", [100]), ("three", [FS] * 3)]:
+        est_dir = tmp_path / name
+        est_dir.mkdir()
+        for i, n in enumerate(lengths):
+            write_wav(est_dir / f"src{i:02d}.wav", FS, np.zeros(n))
+        want = f"{est_dir}: estimates of shape ({len(lengths)}, {lengths[0]}), references of shape (2, {FS})"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            cmd_eval(sim, est_dir, out_dir=tmp_path / "ev10")
+        assert not (tmp_path / "ev10").exists()
 
 
 def test_bench_grid_with_failed_cell(tmp_path):

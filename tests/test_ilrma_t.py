@@ -139,12 +139,12 @@ def test_projection_back_rescales_its_argument_in_place():
 
 def _count_projection_back(monkeypatch):
     """Wrap ``projection_back`` wherever a ``drbss`` module binds it, as the benchmark's tracer
-    does; returns the list that collects each call's projection solves and returned scales."""
+    does; returns the list that collects each call's returned scales."""
     original, calls = projection_back, []
 
-    def counted(dm, outputs, counter=None):
-        scales = original(dm, outputs, counter)
-        calls.append((counter.projection_solves, scales))
+    def counted(dm, outputs):
+        scales = original(dm, outputs)
+        calls.append(scales)
         return scales
 
     for name, module in list(sys.modules.items()):
@@ -157,28 +157,21 @@ def _count_projection_back(monkeypatch):
 @pytest.mark.parametrize("variant", list(AlgorithmVariant))
 def test_run_enters_projection_back_once(monkeypatch, variant):
     """``run`` ends through the module-level ``projection_back``, which the benchmark traces:
-    once, with one projection solve per bin and ``RunResult.scales`` as its return.
-    Plain dereverberation and a zero-iteration run never enter it."""
+    once, with one scale (one solve) per bin and source, and ``RunResult.scales`` as its
+    return. It adds no iteration solve. Plain dereverberation and a zero-iteration run never
+    enter it."""
     spec, projected = small_spec(16), variant is not AlgorithmVariant.WPE
     calls = _count_projection_back(monkeypatch)
     counter = SolveCounter()
     result = run(variant, spec, iterations=2, taps=SMALL_TAPS, wpe_iterations=1, counter=counter)
     assert len(calls) == projected
+    assert counter.iteration_solves == result.trace.cumulative_solves[-1]
     if projected:
-        [(solves, scales)] = calls
-        assert solves == counter.projection_solves == spec.n_bins
+        [scales] = calls
         assert scales is result.scales
+        assert scales.shape == (spec.n_bins, spec.n_channels)
     run(variant, spec, iterations=0, taps=SMALL_TAPS, wpe_iterations=1, counter=SolveCounter())
     assert len(calls) == projected
-
-
-def test_projection_back_counts_per_bin():
-    outputs = np.ones((7, 2, 3), dtype=complex)
-    dm = ExtendedDemixer.identity(7, 2, TapConfig(0, 1))
-    counter = SolveCounter()
-    projection_back(dm, outputs, counter)
-    assert counter.projection_solves == 7
-    assert counter.iteration_solves == 0
 
 
 @pytest.mark.parametrize("variant", list(AlgorithmVariant))
@@ -195,7 +188,7 @@ def test_run_zero_iterations_returns_the_input_or_the_wpe_prepass(variant):
         want, solves = spec.data, 0
     assert np.array_equal(result.outputs.data, want)
     assert counter.iteration_solves == result.trace.cumulative_solves[0] == solves
-    assert counter.projection_solves == 0
+    assert result.scales is None
 
 
 def test_run_zero_iterations_is_identity():
@@ -257,9 +250,9 @@ def test_run_solve_counts_per_variant():
     }
     for variant, want in expected.items():
         counter = SolveCounter()
-        run(variant, spec, iterations=iters, taps=SMALL_TAPS, seed=6, counter=counter)
-        assert counter.iteration_solves == want, variant
-        assert counter.projection_solves == f
+        result = run(variant, spec, iterations=iters, taps=SMALL_TAPS, seed=6, counter=counter)
+        assert counter.iteration_solves == result.trace.cumulative_solves[-1] == want, variant
+        assert result.scales.shape == (f, n)  # one projection solve per bin, not counted
 
 
 def test_run_callback_schedule():

@@ -52,7 +52,7 @@ def scipy_mix(s, cfg):
     for i in range(n):
         for j in range(m):
             full[i, j] = fftconvolve(scaled[i], rirs[i][j])[:n_samples]
-            delay, gain = sim._direct_path(cfg, i, j, np.random.default_rng([cfg.seed, sim._RIR_TAG, i, j]))
+            delay, gain = sim._direct_path(cfg, i, j)[:2]
             direct[i, j, delay:] = gain * scaled[i, : n_samples - delay]
     if np.isinf(cfg.snr):
         noise = np.zeros((m, n_samples))

@@ -132,6 +132,37 @@ def test_mix_accepts_the_longest_direct_delay():
     assert res.direct_images[0, 1, 3999] == res.direct_images[0, 0, 0] * make_rir(cfg, 0, 1)[3999]
 
 
+@pytest.mark.parametrize(
+    "n_sources, seed, overrides",
+    [
+        (2, 0, {}),
+        (3, 3, {"max_direct_delay": 40}),
+        (4, 7, {"rt60": 0.0}),
+        (2, 1, {"direct_delays": ((4, 0), (1, 9))}),
+        (2, 2, {"direct_gains": ((1.0, 0.3), (1.0, 1.7))}),
+        (3, 5, {"direct_delays": ((0, 2, 6), (3, 0, 1), (8, 8, 0)), "direct_gains": ((1.0, 0.6, 1.2),) * 3}),
+    ],
+    ids=["seeded-2", "seeded-3", "seeded-4-no-tail", "given-delays", "given-gains", "given-both"],
+)
+def test_direct_images_use_the_spike_of_each_impulse_response(n_sources, seed, overrides):
+    """Every direct image is its source delayed and scaled by the (delay, gain) of the spike
+    that ``make_rir`` draws from the same stream: ``h[delay] == gain``, nothing before it."""
+    cfg = SyntheticRoomConfig(n_sources, sample_rate=FS, seed=seed, **{"rt60": 0.1, **overrides})
+    res = mix(make_sources(n_sources, 3000, FS, seed=seed), cfg)
+    for i, j in np.ndindex(n_sources, n_sources):
+        h = res.impulse_responses[i][j]
+        assert np.array_equal(h, make_rir(cfg, i, j))
+        delay = int(np.flatnonzero(h)[0])
+        gain = h[delay]
+        if "direct_delays" in overrides:
+            assert delay == overrides["direct_delays"][i][j]
+        if "direct_gains" in overrides:
+            assert gain == overrides["direct_gains"][i][j]
+        image = res.direct_images[i, j]
+        assert not image[:delay].any()
+        assert np.array_equal(image[delay:], gain * res.sources[i, : 3000 - delay]), (i, j)
+
+
 def test_mixture_identity_and_unit_image_power():
     sources = make_sources(2, 12000, FS, seed=1)
     cfg = SyntheticRoomConfig(2, sample_rate=FS, rt60=0.2, snr=100.0, seed=1)

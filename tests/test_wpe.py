@@ -99,7 +99,6 @@ def test_run_counts_one_solve_per_bin_iteration():
     counter = SolveCounter()
     wpe_run(spec, TapConfig(3, 2), 4, counter=counter)
     assert counter.iteration_solves == 4 * spec.n_bins
-    assert counter.projection_solves == 0
 
 
 def test_run_zero_iterations_returns_input():
