@@ -161,7 +161,8 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         data = wide
     arr = np.frombuffer(data, dtype).astype(np.float64)
     if scale != 1.0:
-        arr = (arr - offset) / scale
+        arr -= offset
+        arr /= scale
     arr = arr.reshape(-1, channels).T
     if arr.size == 0:
         raise ValueError(f"{path}: WAV has no samples")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,7 @@ def over_bins(kernel, working_bytes: int, *arrays: np.ndarray | range) -> None:
     Inline unless the ``working_bytes`` the kernel touches fill two ``BLOCK_BYTES`` blocks
     per worker; then in equal blocks, a multiple of ``WORKERS`` of them, every ``WORKERS``-th
     on the caller and the rest on the pool. A per-bin kernel is bit-identical for any split.
+    Pool blocks run in a copy of the caller's context, so its ``np.errstate`` holds for them too.
     Every block ends before an exception is re-raised.
     """
     n_bins = len(arrays[0])
@@ -107,7 +109,7 @@ def over_bins(kernel, working_bytes: int, *arrays: np.ndarray | range) -> None:
     n_blocks = min(n_bins, -(-n_blocks // WORKERS) * WORKERS)
     edges = [i * n_bins // n_blocks for i in range(n_blocks + 1)]
     blocks = [[a[lo:hi] for a in arrays] for lo, hi in zip(edges, edges[1:])]
-    futures = [_pool.submit(kernel, *b) for i, b in enumerate(blocks) if i % WORKERS]
+    futures = [_pool.submit(copy_context().run, kernel, *b) for i, b in enumerate(blocks) if i % WORKERS]
     try:
         for b in blocks[::WORKERS]:
             kernel(*b)

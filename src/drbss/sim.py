@@ -13,6 +13,7 @@ FFT length of ``scipy.signal.fftconvolve``.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,7 +213,8 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     else:
         sigma = np.sqrt(n / cfg.snr)
         noise = sigma * np.random.default_rng([cfg.seed, _NOISE_TAG]).standard_normal((m, n_samples))
-    mixture = full.sum(axis=0) + noise
+    mixture = full.sum(axis=0)
+    mixture += noise
     return MixResult(mixture, direct, full, rirs, scaled, noise)
 
 
@@ -224,7 +226,7 @@ def _segment_envelope(rng: np.random.Generator, n_samples: int, sample_rate: int
     return np.interp(np.arange(n_samples), np.arange(n_knots) * seg, knots)
 
 
-def _resonate(x: list[float], a1: float, a2: float):
+def _resonate(x: Iterable[float], a1: float, a2: float):
     """Yield ``lfilter([1], [1, a1, a2], x)`` sample by sample, bit for bit.
 
     scipy's transposed direct form rounds each step as
@@ -262,7 +264,7 @@ def make_sources(
         for freq in (low, high):
             radius = rng.uniform(0.90, 0.96)
             theta = np.pi * freq / nyquist
-            noise = rng.standard_normal(n_samples).tolist()
+            noise = memoryview(rng.standard_normal(n_samples))  # yields Python floats, without a list of them
             band = np.fromiter(_resonate(noise, -2.0 * radius * np.cos(theta), radius**2), np.float64, n_samples)
             band /= np.sqrt(np.mean(band**2))
             sig += band * _segment_envelope(rng, n_samples, sample_rate)

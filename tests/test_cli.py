@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import re
+import warnings
 import weakref
 from dataclasses import asdict, fields
 
@@ -626,6 +627,55 @@ def test_main_exit_codes(tmp_path, capsys):
          "--variant", "ilrma-ip", "--iterations", "1"]
     )
     assert code == 4
+
+
+ZERO_MIXTURE_FAILURES = {
+    "ilrma-ip": "singular weighted covariance at frequency bin 0",
+    "ilrma-iss": "non-finite demixing filter at frequency bin 0",
+    "ilrma-t-ip": "singular weighted covariance at frequency bin 0",
+    "ilrma-t-iss-joint": "singular tap normal matrix at frequency bin 0",
+    "ilrma-t-iss-seq": "non-finite demixing filter at frequency bin 0",
+    "wpe": "singular prediction normal matrix at frequency bin 0",
+    "wpe+ilrma-ip": "singular prediction normal matrix at frequency bin 0",
+    "wpe+ilrma-iss": "singular prediction normal matrix at frequency bin 0",
+}
+
+
+def _separate_for_60_iterations(path, out, variant, capsys):
+    """(exit code, messages of the warnings raised, stderr) of ``drbss separate`` at 256/64."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["separate", str(path), "--out", str(out), "--variant", variant,
+                     "--iterations", "60", "--frame-len", "256", "--hop", "64"])
+    return code, [str(w.message) for w in caught], capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", sorted(ZERO_MIXTURE_FAILURES))
+def test_an_all_zero_mixture_fails_with_one_line(tmp_path, capsys, variant):
+    """Every variant ends an all-zero mixture with exit 3 and one stderr line, and no warning.
+
+    The steering sweeps grow the demixing filter by a constant factor per iteration on it
+    until the filter overflows (after about 50 iterations at this shape): the step's
+    overflow is reported as a non-finite filter instead of a numpy warning."""
+    zeros = tmp_path / "zeros.wav"
+    write_wav(zeros, FS, np.zeros((2, 20000)))
+    code, caught, err = _separate_for_60_iterations(zeros, tmp_path / "sep", variant, capsys)
+    assert (code, caught) == (3, [])
+    assert err == f"drbss: numerical failure: {ZERO_MIXTURE_FAILURES[variant]}\n"
+
+
+@pytest.mark.parametrize("variant", ["ilrma-iss", "ilrma-t-iss-joint", "ilrma-t-iss-seq", "wpe+ilrma-iss"])
+def test_a_silent_channel_overflows_the_steering_filter_with_one_line(tmp_path, capsys, variant):
+    """A mixture whose second channel is silent overflows every steering variant's filter the same way."""
+    room = tmp_path / "room"
+    cmd_simulate(SyntheticRoomConfig(2, sample_rate=FS, seed=0), room, duration=2.5)
+    _, x = read_wav(room / "mixture.wav")
+    silent = tmp_path / "silent.wav"
+    write_wav(silent, FS, x * [[1], [0]])
+    code, caught, err = _separate_for_60_iterations(silent, tmp_path / "sep", variant, capsys)
+    assert (code, caught) == (3, [])
+    assert err == "drbss: numerical failure: non-finite demixing filter at frequency bin 0\n"
 
 
 def _option_strings(command):

@@ -37,7 +37,7 @@ TAPS = TapConfig(3, 2)
 
 class CountingPool(ThreadPoolExecutor):
     """A pool that counts the blocks handed to it and names their kernels (``submit`` runs
-    on the caller)."""
+    on the caller; ``over_bins`` submits ``Context.run`` with the kernel as its first argument)."""
 
     submitted = 0
 
@@ -47,7 +47,7 @@ class CountingPool(ThreadPoolExecutor):
 
     def submit(self, fn, *args, **kwargs):
         self.submitted += 1
-        self.kernels.add(fn.__name__)
+        self.kernels.add(args[0].__name__)
         return super().submit(fn, *args, **kwargs)
 
 
@@ -272,6 +272,23 @@ def test_a_block_exception_propagates_after_every_block_finishes(monkeypatch, ba
     assert running[0] == 0  # no block still runs (or writes) once the call has returned
     assert len(threads) > 1
     assert len(finished) == int(np.sum(bins == -1))
+
+
+def test_pool_blocks_run_in_the_callers_error_state(monkeypatch, pool):
+    """A caller's ``np.errstate`` holds for the blocks on the pool's thread too, so ``run``'s
+    filter step reports an overflow once, on any split, instead of warning from the pool."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1)
+    seen = []
+
+    def kernel(block):
+        seen.append((threading.current_thread().name, np.geterr()["over"]))
+
+    with np.errstate(over="ignore"):
+        linalg.over_bins(kernel, 4, np.arange(4))
+    assert pool.submitted == 2 and len({thread for thread, _ in seen}) == 2
+    assert [state for _, state in seen] == ["ignore"] * 4
+    assert np.geterr()["over"] == "warn"
 
 
 def _add_one(block):

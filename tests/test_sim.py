@@ -1,5 +1,7 @@
 """Synthetic rooms: impulse responses, mixing bookkeeping, sources."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,18 @@ def test_make_sources_shape_rms_determinism():
         make_sources(0, 100, FS)
     with pytest.raises(ValueError):
         make_sources(1, 0, FS)
+
+
+def test_make_sources_holds_no_list_of_floats():
+    """The resonator reads each band's noise through a memoryview, one Python float at a
+    time: a list of a band's 160000 floats alone would be about 5 MB, two outputs' worth."""
+    tracemalloc.start()
+    try:
+        out = make_sources(2, 160000, 16000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * out.nbytes
 
 
 def test_sources_are_spectrally_distinct():

@@ -1,9 +1,12 @@
 """Transform-layer checks: framing, reconstruction, energy, leakage."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from drbss import Spectrogram, StftConfig, analyze, synthesize
+from drbss import Spectrogram, StftConfig, analyze, linalg, synthesize
 from drbss.stft import _windows, hann_window, pad_amounts
 
 
@@ -136,6 +139,70 @@ def test_synthesize_matches_frame_by_frame_overlap_add(hop, n_samples):
     got = synthesize(spec)
     assert got.shape == (2, n_samples)
     assert np.array_equal(got, overlap_add_frame_by_frame(spec))
+
+
+def whole_array_analyze(x, cfg):
+    """Reference: every windowed frame at once, transformed, then one transposed copy."""
+    left, right = pad_amounts(x.shape[1], cfg)
+    frames = sliding_window_view(np.pad(x, ((0, 0), (left, right))), cfg.frame_len, axis=1)[:, :: cfg.hop, :]
+    window, _ = _windows(cfg.frame_len, cfg.hop)
+    return np.ascontiguousarray(np.fft.rfft(frames * window, axis=-1).transpose(2, 0, 1))
+
+
+def whole_array_synthesize(spec):
+    """Reference: every frame's inverse at once, then overlap-add by hop-long segment."""
+    cfg = spec.config
+    _, dual = _windows(cfg.frame_len, cfg.hop)
+    frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=cfg.frame_len, axis=-1)
+    frames *= dual
+    ratio = cfg.frame_len // cfg.hop
+    segments = frames.reshape(spec.n_channels, spec.n_frames, ratio, cfg.hop)
+    out = np.zeros((spec.n_channels, spec.n_frames - 1 + ratio, cfg.hop))
+    for r in reversed(range(ratio)):
+        out[:, r : r + spec.n_frames] += segments[:, :, r]
+    left = cfg.frame_len - cfg.hop
+    return out.reshape(spec.n_channels, -1)[:, left : left + spec.n_samples]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 5 << 13])  # 5, 2 and 1 frames per block
+@pytest.mark.parametrize("n_samples", [16000, 16001])
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+def test_frame_blocks_match_the_whole_array_transforms(monkeypatch, n_channels, n_samples, block_bytes):
+    """Bit for bit, in one block or in blocks of a few frames, at a length that is not a multiple of the hop."""
+    if block_bytes is not None:
+        monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(n_channels)
+    cfg = StftConfig(512, 128, 8000)
+    x = rng.standard_normal((n_channels, n_samples))
+    spec = analyze(x, cfg)
+    assert spec.data.flags.c_contiguous
+    assert np.array_equal(spec.data, whole_array_analyze(x, cfg))
+    spec.data = spec.data * (1.0 + rng.standard_normal(spec.data.shape))  # no longer an analysis
+    assert np.array_equal(synthesize(spec), whole_array_synthesize(spec))
+
+
+def _extra_bytes(call):
+    """(result, bytes allocated at the peak of ``call`` beyond what it returns)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+def test_transforms_hold_less_than_one_extra_spectrogram(n_channels):
+    """At the pipeline's shape (16 kHz, 10 s, 1024/256), analysis and synthesis allocate less
+    than one spectrogram beyond their input and output: they transform a block of frames at
+    a time, straight into or out of the (F, M, T) layout."""
+    cfg = StftConfig(1024, 256, 16000)
+    x = np.random.default_rng(n_channels).standard_normal((n_channels, 160000))
+    spec, analysis_extra = _extra_bytes(lambda: analyze(x, cfg))
+    _, synthesis_extra = _extra_bytes(lambda: synthesize(spec))
+    assert analysis_extra < spec.data.nbytes
+    assert synthesis_extra < spec.data.nbytes
 
 
 def test_synthesize_rejects_inconsistent_length():
