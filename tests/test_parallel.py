@@ -65,7 +65,7 @@ def _run_all(spec):
         counter = SolveCounter()
         res = run(variant, spec, iterations=6, taps=TAPS, counter=counter)
         arrays = (res.outputs.data, res.trace.costs, res.trace.cumulative_solves)
-        results[variant] = arrays if res.demixer is None else (*arrays, res.demixer.matrix)  # wpe has none
+        results[variant] = arrays if res.demixer is None else (*arrays, res.demixer.top)  # wpe has none
     return results
 
 
@@ -96,7 +96,7 @@ def _variance_model_instance(n_sources, n_bins=67, n_frames=151):
     rng = np.random.default_rng(n_sources)
     power = np.abs(rng.standard_normal((n_bins, n_sources, n_frames))) ** 2
     dm = ExtendedDemixer.identity(n_bins, n_sources, TapConfig(0, 1))
-    dm.matrix += 0.3 * rng.standard_normal(dm.matrix.shape)
+    dm.top += 0.3 * rng.standard_normal(dm.top.shape)
     return power, dm
 
 

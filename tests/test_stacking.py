@@ -91,18 +91,21 @@ def test_build_stacked_rejects_empty():
 
 
 def test_identity_demixer_structure():
+    """Only the free rows are stored: [I 0] in every bin, the separation block a view of them."""
     dm = ExtendedDemixer.identity(5, 2, TapConfig(2, 1))
-    assert dm.matrix.shape == (5, 6, 6)
-    assert np.array_equal(dm.matrix[0], np.eye(6))
-    dm.assert_structure()
     assert dm.top.shape == (5, 2, 6)
+    assert (dm.n_bins, dm.n_channels, dm.dim) == (5, 2, 6)
+    assert all(np.array_equal(block, np.eye(6)[:2]) for block in dm.top)
     assert dm.mixing.shape == (5, 2, 2)
+    assert np.shares_memory(dm.mixing, dm.top)
+    dm.assert_structure()
 
 
-def test_assert_structure_detects_tampering():
+def test_assert_structure_names_the_first_non_finite_bin():
     dm = ExtendedDemixer.identity(4, 2, TapConfig(1, 1))
-    dm.matrix[2, 3, 0] = 0.5  # a pinned row
-    with pytest.raises(AssertionError):
+    dm.top[2, 1, 3] = np.nan  # a tap coefficient of bin 2
+    dm.top[3, 0, 0] = np.inf
+    with pytest.raises(NumericalError, match="^non-finite demixing filter at frequency bin 2$"):
         dm.assert_structure()
 
 
@@ -120,14 +123,14 @@ def test_demix_matches_naive_loop():
     sx = build_stacked(spec, taps)
     dm = ExtendedDemixer.identity(spec.n_bins, 2, taps)
     rng = np.random.default_rng(5)
-    dm.matrix[:, :2, :] += 0.3 * (
+    dm.top += 0.3 * (
         rng.standard_normal((spec.n_bins, 2, 6)) + 1j * rng.standard_normal((spec.n_bins, 2, 6))
     )
     out = demix(dm, sx).data
     tilde = stack_rows(sx)
     for f in (0, 7, spec.n_bins - 1):
         for t in range(6):
-            want = dm.matrix[f, :2, :] @ tilde[f, :, t]
+            want = dm.top[f] @ tilde[f, :, t]
             assert np.allclose(out[f, :, t], want, atol=1e-14)
 
 
@@ -149,8 +152,8 @@ def test_split_filter_round_trip():
         (n_bins, n, n * taps)
     )
     dm = ExtendedDemixer.identity(n_bins, n, TapConfig(taps, 2))
-    dm.matrix[:, :n, :n] = w
-    dm.matrix[:, :n, n:] = -w @ zbar
+    dm.top[:, :, :n] = w
+    dm.top[:, :, n:] = -w @ zbar
     got_w, got_zbar = split_filter(dm)
     assert np.allclose(got_w, w, atol=1e-12)
     assert np.allclose(got_zbar, zbar, atol=1e-12)
@@ -165,7 +168,7 @@ def test_split_filter_zero_taps():
 
 def test_split_filter_singular_block():
     dm = ExtendedDemixer.identity(3, 2, TapConfig(1, 1))
-    dm.matrix[1, :2, :2] = 0.0
+    dm.top[1, :2, :2] = 0.0
     with pytest.raises(NumericalError, match="frequency bin 1"):
         split_filter(dm)
 
