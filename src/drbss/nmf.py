@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import VARIANCE_FLOOR, over_bins
 
 # Lower bound applied to the nonnegative factors themselves, so a
@@ -65,8 +66,11 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
     current ``variance(model)``, both (F, N, T). The bases are updated per
     block of bins, then the activations per block of frames under those
     frames' variances for the new bases. The refreshed variances overwrite
-    ``variances``, in its memory order, which is returned. No temporary is
-    larger than a block.
+    ``variances``, in its memory order, which is returned. Each half walks
+    its block in serial sub-ranges, as many over the whole range as
+    ``over_bins`` would make blocks, also when ``over_bins`` hands it the
+    whole range inline; so its temporaries stay within a block at every
+    shape.
     """
     shape = (model.bases.shape[2], model.n_sources, model.activations.shape[1])
     if power.shape != shape or variances.shape != shape:
@@ -74,24 +78,30 @@ def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray
     if np.any(power < 0):
         raise ValueError("power tensor must be nonnegative")
     bases, activations = model.bases, model.activations
+    # a block touches power, the variances and up to three temporaries of their size; a pool block
+    # is no wider than a sub-range, so only an inline half loops
+    working = 5 * power.nbytes
+    parts = -(-working // linalg.BLOCK_BYTES)
+    bin_width, frame_width = -(-shape[0] // parts), -(-shape[2] // parts)
 
     def bases_block(bins: range) -> None:
-        f = slice(bins.start, bins.stop)
-        v = variances[f]
-        num = v * v
-        np.divide(power[f], num, out=num)  # in the variances' order: a faster einsum, same bits
-        _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
+        for lo in range(bins.start, bins.stop, bin_width):
+            f = slice(lo, min(lo + bin_width, bins.stop))
+            v = variances[f]
+            num = v * v
+            np.divide(power[f], num, out=num)  # in the variances' order: a faster einsum, same bits
+            _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
 
     def activations_block(frames: range) -> None:
-        t = slice(frames.start, frames.stop)
-        acts = activations[:, t]
-        v = _evaluate(bases, acts)
-        _scale(acts, bases, "nkf,fnt->ntk", power[:, :, t] / (v * v), v)
-        _evaluate(bases, acts, out=variances[:, :, t])
+        for lo in range(frames.start, frames.stop, frame_width):
+            t = slice(lo, min(lo + frame_width, frames.stop))
+            acts = activations[:, t]
+            v = _evaluate(bases, acts)
+            _scale(acts, bases, "nkf,fnt->ntk", power[:, :, t] / (v * v), v)
+            _evaluate(bases, acts, out=variances[:, :, t])
 
-    # a block touches power, the variances and up to three temporaries of their size
-    over_bins(bases_block, 5 * power.nbytes, range(shape[0]))
-    over_bins(activations_block, 5 * power.nbytes, range(shape[2]))
+    over_bins(bases_block, working, range(shape[0]))
+    over_bins(activations_block, working, range(shape[2]))
     return variances
 
 

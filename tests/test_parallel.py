@@ -114,14 +114,22 @@ def _model_sweeps(power, dm):
 def test_variance_model_and_cost_are_bit_identical_for_any_worker_count_and_split(monkeypatch, pool, n_sources):
     power, dm = _variance_model_instance(n_sources)
     monkeypatch.setattr(linalg, "WORKERS", 1)
-    serial = _model_sweeps(power, dm)
-    # 2 workers in small blocks; 3 workers in 21 NMF and 12 cost blocks; one bin or frame per block
-    for workers, block_bytes in ((2, 1 << 12), (3, power.nbytes // 4), (2, 1)):
+    serial = _model_sweeps(power, dm)  # each call inline, and each NMF half in one range
+    # 2 workers in small blocks; 3 workers in 21 NMF and 12 cost blocks; one bin or frame per block;
+    # one thread, whose blocks all run on the caller; and 8 workers, too many for the 5 NMF and 3 cost
+    # blocks to wake the pool, so every call runs inline and each NMF half walks 5 serial sub-ranges
+    for workers, block_bytes, pooled in (
+        (2, 1 << 12, True),
+        (3, power.nbytes // 4, True),
+        (2, 1, True),
+        (1, 1 << 12, False),
+        (8, power.nbytes, False),
+    ):
         monkeypatch.setattr(linalg, "WORKERS", workers)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
         before = pool.submitted
         blocked = _model_sweeps(power, dm)
-        assert pool.submitted > before
+        assert (pool.submitted > before) == pooled
         for want, got in zip(serial, blocked):
             assert np.array_equal(want, got), (workers, block_bytes)
 
@@ -144,6 +152,26 @@ def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool
         finally:
             tracemalloc.stop()
         assert extra < power.nbytes
+
+
+def test_variance_model_stays_within_a_block_when_it_runs_inline(monkeypatch, pool):
+    """At the benchmark's engine shape the NMF sweep fills 3 blocks, too few for ``over_bins``
+    to wake the pool on 2 workers. Each half still walks its range in sub-ranges, so the sweep
+    allocates less than one block beyond its inputs (a whole-range half allocates 3 MB)."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    power, _ = _variance_model_instance(3, n_bins=129, n_frames=316)
+    model = init_model(3, 2, 129, 316, seed=0)
+    variances = variance(model)
+    before = pool.submitted
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        nmf_update(model, power, variances)
+        extra = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert pool.submitted == before
+    assert extra < linalg.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("workers", [2, 8])
