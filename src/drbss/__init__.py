@@ -20,7 +20,7 @@ from .metrics import (
     si_sdr,
     si_sir,
 )
-from .nmf import NmfVarianceModel, init_model, nmf_update, variance
+from .nmf import NmfVarianceModel, init_model, model_term, nmf_update, variance
 from .sim import MixResult, SyntheticRoomConfig, make_rir, make_sources, mix
 from .stacking import (
     ExtendedDemixer,
@@ -64,6 +64,7 @@ __all__ = [
     "make_rir",
     "make_sources",
     "mix",
+    "model_term",
     "nmf_update",
     "projection_back",
     "run",

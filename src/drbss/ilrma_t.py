@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import NumericalError, SolveCounter, add_loading, checked_solve, over_bins
-from .nmf import init_model, model_cost_in_place, nmf_update, variance
+from .nmf import init_model, model_term, nmf_update
 from .separation import ip_update_row, iss_source_sweep, steering_gains, weighted_cov, weighted_gram
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
@@ -87,20 +87,19 @@ class RunResult:
     scales: np.ndarray | None = None  # projection_back's (F, N) scales; None when it did not run
 
 
-def cost(dm: ExtendedDemixer, power: np.ndarray, variances: np.ndarray) -> float:
+def cost(dm: ExtendedDemixer, n_frames: int, model_term: float) -> float:
     """Negative log-likelihood of the current filter and variance model.
 
-    ``power`` (the output power |y|^2) and the floored ``variances`` are
-    both (F, N, T). The model term is summed in ``power``, which holds
-    power/r + log r on return. A singular separation block is an error,
-    not -inf.
+    ``model_term`` is the variance model's sum(|y|^2/r + log r) over the
+    outputs, which ``nmf_update`` returns; this adds the demixer's
+    -2 T log|det| over ``n_frames`` frames. A singular separation block is
+    an error, not -inf.
     """
     _, logdet = np.linalg.slogdet(dm.mixing)
     if not np.all(np.isfinite(logdet)):
         bad = int(np.flatnonzero(~np.isfinite(logdet))[0])
         raise NumericalError(f"singular separation block at frequency bin {bad}")
-    det_term = -2.0 * power.shape[2] * float(np.sum(logdet))
-    return det_term + model_cost_in_place(power, variances)
+    return -2.0 * n_frames * float(np.sum(logdet)) + model_term
 
 
 def ilrma_t_ip_iteration(
@@ -273,12 +272,14 @@ def run(
 ) -> RunResult:
     """Run one algorithm end to end on an observed spectrogram.
 
-    Every iteration hands ``1 / variances`` to the variant's filter
-    update, which rewrites the outputs in place, then runs one
-    multiplicative sweep of the variance model and appends the
-    objective. The inverse is C-ordered, so the steering gains' dot
-    products over frames read contiguous memory; the variances stay
-    f-fastest, the order NMF's rounding depends on. The final outputs
+    The run's state is the variance model's factors, the outputs and one
+    real C-ordered (F, N, T) buffer. Every iteration hands the buffer's
+    ``1 / r`` to the variant's filter update, which rewrites the outputs in
+    place, then runs one multiplicative sweep of the variance model, which
+    passes |y|^2 through the buffer and leaves the new ``1 / r`` in it, and
+    appends the objective. C order lets the steering gains' dot products
+    over frames read contiguous memory; the variances are evaluated per
+    block from the factors, f-fastest, the order NMF's rounding depends on. The final outputs
     are rescaled in place by :func:`projection_back`, except in plain
     dereverberation and in a zero-iteration run. That run returns the
     input unchanged, or in the cascades the output of their
@@ -303,23 +304,20 @@ def run(
     sx = build_stacked(work, eff_taps)
     dm = ExtendedDemixer.identity(work.n_bins, work.n_channels, eff_taps)
     model = init_model(work.n_channels, n_bases, work.n_bins, work.n_frames, seed)
-    variances = variance(model)
     outputs = work.data.copy()  # iteration steps update this buffer in place
+    inv = np.empty(outputs.shape)  # 1/r through each filter step, |y|^2 inside each NMF sweep
 
     step = _ITERATIONS[variant]
     trace = CostTrace()
-    trace.record(cost(dm, np.abs(outputs) ** 2, variances), counter.iteration_solves)
+    trace.record(cost(dm, work.n_frames, model_term(model, outputs, inv)), counter.iteration_solves)
     if callback is not None:
         callback(0, outputs, dm)
     for i in range(iterations):
         started = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):  # a filter that overflows is reported once, below
-            step(dm, sx, np.divide(1.0, variances, order="C"), outputs, counter)
+            step(dm, sx, inv, outputs, counter)
         dm.assert_structure()
-        power = np.abs(outputs) ** 2
-        variances = nmf_update(model, power, variances)
-        trace.record(cost(dm, power, variances), counter.iteration_solves, started)
-        del power  # not held through the next step, where an iteration peaks in memory
+        trace.record(cost(dm, work.n_frames, nmf_update(model, outputs, inv)), counter.iteration_solves, started)
         if callback is not None:
             callback(i + 1, outputs, dm)
 

@@ -2,8 +2,9 @@
 
 Each source's time-frequency variance is r[:, n] = bases[n].T @
 activations[n].T, updated with multiplicative rules that never increase
-the Itakura-Saito fit between the output power and the model. Power and
-variances share the outputs' (F, N, T) layout.
+the Itakura-Saito fit between the output power and the model. The factors
+are the model's state: its variances are evaluated from them per block,
+and the power and the inverse variances share the outputs' (F, N, T) layout.
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ def variance(model: NmfVarianceModel) -> np.ndarray:
     """Modelled variances, shape (F, N, T), floored away from zero.
 
     The array is f-fastest in memory, laid out (N, T, F) by einsum, so it is not
-    C-contiguous. ``nmf_update`` refreshes it in that order; a C-contiguous copy
-    changes the rounding of the kernels that read it.
+    C-contiguous. ``run`` never holds it: ``nmf_update`` and ``model_term``
+    evaluate the model per block from the factors, in the same order and bits.
     """
     return _evaluate(model.bases, model.activations)
 
@@ -59,50 +60,87 @@ def _evaluate(bases: np.ndarray, activations: np.ndarray, out=None) -> np.ndarra
     return np.maximum(r, VARIANCE_FLOOR, out=out)
 
 
-def nmf_update(model: NmfVarianceModel, power: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """One multiplicative sweep (bases, then activations) against ``power``.
+def nmf_update(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray) -> float:
+    """One multiplicative sweep (bases, then activations) against the output power |y|^2.
 
-    ``power`` is the output power |y|^2 and ``variances`` the model's
-    current ``variance(model)``, both (F, N, T). The bases are updated per
-    block of bins, then the activations per block of frames under those
-    frames' variances for the new bases. The refreshed variances overwrite
-    ``variances``, in its memory order, which is returned. Each half walks
-    its block in serial sub-ranges, as many over the whole range as
-    ``over_bins`` would make blocks, also when ``over_bins`` hands it the
-    whole range inline; so its temporaries stay within a block at every
-    shape.
+    ``outputs`` and the real, C-ordered ``buffer`` are (F, N, T); the buffer's
+    1/r is not read. The bases are updated per block of bins, each under its
+    bins' variances evaluated from the factors, and the block's |y|^2 is written
+    into the buffer. Then the activations per block of frames, under those
+    frames' variances for the new bases. Returns the model term
+    sum(|y|^2/r + log r) of the refreshed model, whose 1/r the buffer holds
+    on return (see ``model_term``). Each half walks its block in serial
+    sub-ranges, as many over the whole range as ``over_bins`` would make
+    blocks, also when ``over_bins`` hands it the whole range inline; so its
+    temporaries stay within a block at every shape.
     """
+    return _sweep(model, outputs, buffer, True)
+
+
+def model_term(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray) -> float:
+    """sum(|y|^2/r + log r) of the model as it stands, with its 1/r written into ``buffer``.
+
+    The state ``run`` starts from, built per block of frames as ``nmf_update``
+    ends: each frame's terms are summed in one fixed order, so the term is
+    the same for any block split.
+    """
+    return _sweep(model, outputs, buffer, False)
+
+
+def _sweep(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray, update: bool) -> float:
     shape = (model.bases.shape[2], model.n_sources, model.activations.shape[1])
-    if power.shape != shape or variances.shape != shape:
-        raise ValueError("power and variance tensor shapes do not match the model")
-    if np.any(power < 0):
-        raise ValueError("power tensor must be nonnegative")
+    if outputs.shape != shape or buffer.shape != shape:
+        raise ValueError("output and buffer tensor shapes do not match the model")
     bases, activations = model.bases, model.activations
-    # a block touches power, the variances and up to three temporaries of their size; a pool block
-    # is no wider than a sub-range, so only an inline half loops
-    working = 5 * power.nbytes
+    frame_sums = np.empty(shape[2])
+    # a block touches the buffer and up to four temporaries of its size; a pool block is no
+    # wider than a sub-range, so only an inline half loops
+    working = 5 * buffer.nbytes
     parts = -(-working // linalg.BLOCK_BYTES)
     bin_width, frame_width = -(-shape[0] // parts), -(-shape[2] // parts)
 
     def bases_block(bins: range) -> None:
         for lo in range(bins.start, bins.stop, bin_width):
             f = slice(lo, min(lo + bin_width, bins.stop))
-            v = variances[f]
-            num = v * v
-            np.divide(power[f], num, out=num)  # in the variances' order: a faster einsum, same bits
-            _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
+            power = np.abs(outputs[f], out=buffer[f])
+            np.square(power, out=power)
+            if update:
+                v = _evaluate(bases[:, :, f], activations)
+                num = v * v
+                np.divide(power, num, out=num)  # in the variances' order: a faster einsum, same bits
+                _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
 
     def activations_block(frames: range) -> None:
         for lo in range(frames.start, frames.stop, frame_width):
             t = slice(lo, min(lo + frame_width, frames.stop))
-            acts = activations[:, t]
+            acts, power = activations[:, t], buffer[:, :, t]
             v = _evaluate(bases, acts)
-            _scale(acts, bases, "nkf,fnt->ntk", power[:, :, t] / (v * v), v)
-            _evaluate(bases, acts, out=variances[:, :, t])
+            if update:
+                _scale(acts, bases, "nkf,fnt->ntk", power / (v * v), v)
+                _evaluate(bases, acts, out=v)
+            _frame_terms(v, power, frame_sums[t])
 
     over_bins(bases_block, working, range(shape[0]))
     over_bins(activations_block, working, range(shape[2]))
-    return variances
+    return float(np.sum(frame_sums))
+
+
+def _frame_terms(variances: np.ndarray, power: np.ndarray, sums: np.ndarray) -> None:
+    """Write each frame's sum of power/r + log r into ``sums``, then 1/r over ``power``.
+
+    ``variances`` is f-fastest, as ``_evaluate`` makes it, and is overwritten.
+    Each (source, frame) row of bins is reduced as one contiguous row, and the
+    sources' sums are added in source order, so a frame's sum does not depend
+    on how many frames share its block.
+    """
+    terms = np.empty_like(variances)
+    np.divide(power, variances, out=terms)
+    np.divide(1.0, variances, out=power)
+    terms += np.log(variances, out=variances)
+    per_source = np.sum(terms, axis=0)
+    sums[:] = per_source[0]
+    for row in per_source[1:]:  # in source order, whatever the block's width
+        sums += row
 
 
 def _scale(factor: np.ndarray, other: np.ndarray, subscripts: str, num: np.ndarray, variances: np.ndarray) -> None:

@@ -15,11 +15,13 @@ from drbss import (
     TapConfig,
     analyze,
     build_stacked,
+    cost,
     demix,
     make_sources,
     mix,
     run,
 )
+from drbss.nmf import model_cost_in_place
 
 FS = 8000
 DESK_FRAME = 256
@@ -65,6 +67,12 @@ def stack_rows(sx):
         zeros = np.zeros((n_bins, n_channels, lag), dtype=x.dtype)
         blocks.append(np.concatenate([zeros, x[:, :, : n_frames - lag]], axis=2))
     return np.concatenate(blocks, axis=1)
+
+
+def objective(dm, outputs, variances):
+    """Oracle objective of ``outputs`` under fixed (F, N, T) ``variances``: ``cost`` with the model
+    term summed from whole arrays by ``model_cost_in_place``."""
+    return cost(dm, outputs.shape[2], model_cost_in_place(np.abs(outputs) ** 2, variances))
 
 
 def zero_tap_stack(x):

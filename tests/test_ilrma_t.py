@@ -19,16 +19,16 @@ from drbss import (
     ilrma_t_iss_joint_iteration,
     ilrma_t_iss_seq_iteration,
     init_model,
+    model_term,
     nmf_update,
     projection_back,
     run,
-    variance,
     wpe_run,
 )
 from drbss import ilrma_t, linalg, nmf
 from drbss.ilrma_t import _steering_sweep_over_taps
 from drbss.separation import iss_coefficients, iss_source_sweep, weighted_cov
-from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, normal_equation_instance, stack_rows
+from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, normal_equation_instance, objective, stack_rows
 
 SMALL_TAPS = TapConfig(2, 2)
 
@@ -48,7 +48,7 @@ def test_cost_identity_filter_unit_variances():
     rng = np.random.default_rng(0)
     outputs = rng.standard_normal((4, 2, 9)) + 1j * rng.standard_normal((4, 2, 9))
     dm = ExtendedDemixer.identity(4, 2, TapConfig(0, 1))
-    value = cost(dm, np.abs(outputs) ** 2, np.ones((4, 2, 9)))
+    value = objective(dm, outputs, np.ones((4, 2, 9)))
     assert np.isclose(value, np.sum(np.abs(outputs) ** 2), rtol=1e-12)
 
 
@@ -61,13 +61,13 @@ def test_cost_row_scaling_oracle():
     )
     variances = rng.uniform(0.5, 2.0, size=(n_src, n_bins, n_frames)).transpose(1, 0, 2)  # (F, N, T)
     dm = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1))
-    base = cost(dm, np.abs(outputs) ** 2, variances)
+    base = objective(dm, outputs, variances)
     c = 1.7
     scaled = ExtendedDemixer(dm.top.copy())
     scaled.top[:, 0, :] *= c
     out2 = outputs.copy()
     out2[:, 0, :] *= c
-    got = cost(scaled, np.abs(out2) ** 2, variances) - base
+    got = objective(scaled, out2, variances) - base
     row_power = np.sum(np.abs(outputs[:, 0, :]) ** 2 / variances[:, 0])
     want = -2.0 * n_frames * n_bins * np.log(c) + (c**2 - 1.0) * row_power
     assert np.isclose(got, want, rtol=1e-10)
@@ -77,7 +77,7 @@ def test_cost_singular_block_raises():
     dm = ExtendedDemixer.identity(3, 2, TapConfig(0, 1))
     dm.top[2, :2, :2] = 0.0
     with pytest.raises(NumericalError, match="frequency bin 2"):
-        cost(dm, np.zeros((3, 2, 4)), np.ones((3, 2, 4)))
+        cost(dm, 4, 0.0)
 
 
 def test_zero_taps_reduces_to_untapped_counterpart():
@@ -309,9 +309,10 @@ def test_a_tapped_run_stores_only_the_free_rows_of_its_demixer():
 def test_observation_is_held_once(monkeypatch):
     """``build_stacked`` copies nothing, and a tapped run holds no whole copy of the observation.
 
-    The run holds its outputs (one observation's bytes) and three real (F, N, T) tracks: the
-    variances, their inverse and the output power. In small bin blocks that keeps its traced
-    peak under three observations, which one front-padded copy of the observation would pass.
+    The run holds its outputs (one observation's bytes) and one real (F, N, T) buffer, which
+    carries 1/r through the filter step and |y|^2 through the NMF sweep. In small bin blocks
+    that keeps its traced peak under three observations, which one front-padded copy of the
+    observation would pass.
     """
     monkeypatch.setattr(linalg, "WORKERS", 2)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
@@ -330,6 +331,27 @@ def test_observation_is_held_once(monkeypatch):
     assert sx.lags == (0, 2, 3, 4, 5, 6) and np.shares_memory(sx.spec.data, spec.data)
     assert stacking_peak < 1024  # the object and its lags; one stacked row alone is F * T * 16 bytes
     assert run_peak < 3 * spec.data.nbytes
+
+
+@pytest.mark.parametrize("variant", [AlgorithmVariant.ILRMA_T_ISS_SEQ, AlgorithmVariant.ILRMA_ISS])
+def test_run_holds_one_real_track_beside_its_outputs(monkeypatch, variant):
+    """Beside its outputs (one observation's bytes), a run holds the variance model's factors and
+    one real (F, N, T) buffer, half an observation at N = M, and no whole variance or power array.
+    In 16 KiB blocks on two workers its traced peak stays under two observations; with whole
+    variances and power beside the inverse it would not (2.29 and 2.23 observations)."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
+    spec = small_spec(12, n_samples=36000)
+    taps = TapConfig(5, 2)
+    run(variant, spec, iterations=1, taps=taps)  # the pool's thread is started
+    tracemalloc.start()
+    try:
+        run(variant, spec, iterations=2, taps=taps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.data.shape == (129, 2, 283)
+    assert peak < 2 * spec.data.nbytes
 
 
 def test_run_wpe_variant():
@@ -370,20 +392,22 @@ def test_maintained_outputs_match_fresh_demix():
     for step in (ilrma_t_ip_iteration, ilrma_t_iss_joint_iteration, ilrma_t_iss_seq_iteration):
         dm = ExtendedDemixer.identity(spec.n_bins, n, SMALL_TAPS)
         model = init_model(n, 2, spec.n_bins, spec.n_frames, seed=10)
-        variances = variance(model)
         outputs = spec.data.copy()
         buffer = outputs
+        inv = np.empty(outputs.shape)
+        model_term(model, outputs, inv)
         for _ in range(5):
-            assert step(dm, sx, 1.0 / variances, outputs, SolveCounter()) is None
+            assert step(dm, sx, inv, outputs, SolveCounter()) is None
             assert outputs is buffer
             fresh = dm.top @ tilde
             assert np.abs(outputs - fresh).max() <= 1e-10, step.__name__
-            variances = nmf_update(model, np.abs(outputs) ** 2, variances)
+            nmf_update(model, outputs, inv)
 
 
-def test_run_evaluates_the_variance_model_once_per_state(monkeypatch):
-    """Each variance state (the initial model, then the model after each NMF
-    half-update) is evaluated exactly once per element, inline or in blocks."""
+def test_run_evaluates_the_variance_model_three_times_per_iteration(monkeypatch):
+    """``run`` stores no variances: it evaluates the initial model once per element, and each
+    NMF sweep evaluates the model three times per element (the bases half under the state the
+    last sweep left, the activations half before and after its update), inline or in blocks."""
     evaluated = []
     original = nmf._evaluate
 
@@ -402,9 +426,9 @@ def test_run_evaluates_the_variance_model_once_per_state(monkeypatch):
             for iterations in (0, 1, 4):
                 evaluated.clear()
                 run(variant, spec, iterations=iterations, taps=SMALL_TAPS)
-                assert sum(evaluated) == (1 + 2 * iterations) * elements, (variant, iterations, workers)
+                assert sum(evaluated) == (1 + 3 * iterations) * elements, (variant, iterations, workers)
                 if iterations and workers > 1:
-                    assert len(evaluated) > 1 + 2 * iterations  # the states were evaluated in blocks
+                    assert len(evaluated) > 1 + 3 * iterations  # the states were evaluated in blocks
 
 
 def test_run_rejects_bad_arguments():

@@ -20,9 +20,9 @@ from drbss import (
     cost,
     init_model,
     linalg,
+    model_term,
     nmf_update,
     run,
-    variance,
     wpe_dereverb,
     wpe_filter_update,
 )
@@ -92,66 +92,76 @@ def test_every_variant_is_bit_identical_for_any_worker_count_and_split(monkeypat
 
 
 def _variance_model_instance(n_sources, n_bins=67, n_frames=151):
-    """Output power as ``run`` holds it (C order) and a demixer with a random separation block."""
+    """Complex outputs and a demixer with a random separation block."""
     rng = np.random.default_rng(n_sources)
-    power = np.abs(rng.standard_normal((n_bins, n_sources, n_frames))) ** 2
+    outputs = rng.standard_normal((n_bins, n_sources, n_frames)) + 1j * rng.standard_normal((n_bins, n_sources, n_frames))
     dm = ExtendedDemixer.identity(n_bins, n_sources, TapConfig(0, 1))
     dm.top += 0.3 * rng.standard_normal(dm.top.shape)
-    return power, dm
+    return outputs, dm
 
 
-def _model_sweeps(power, dm):
-    model = init_model(power.shape[1], 3, power.shape[0], power.shape[2], seed=1)
-    variances = variance(model)
-    costs = []
+def _model_sweeps(outputs, dm):
+    model = init_model(outputs.shape[1], 3, outputs.shape[0], outputs.shape[2], seed=1)
+    inv = np.empty(outputs.shape)
+    terms = [model_term(model, outputs, inv)]
     for _ in range(3):
-        nmf_update(model, power, variances)
-        costs.append(cost(dm, power.copy(), variances))
-    return model.bases, model.activations, variances, costs
+        terms.append(nmf_update(model, outputs, inv))
+    costs = [cost(dm, outputs.shape[2], term) for term in terms]
+    return model.bases, model.activations, inv, terms, costs
 
 
-@pytest.mark.parametrize("n_sources", [2, 3])
-def test_variance_model_and_cost_are_bit_identical_for_any_worker_count_and_split(monkeypatch, pool, n_sources):
-    power, dm = _variance_model_instance(n_sources)
+@pytest.mark.parametrize(
+    "n_sources, n_bins, n_frames",
+    [pytest.param(2, 67, 151, id="2"), pytest.param(3, 67, 151, id="3"), pytest.param(2, 513, 628, id="pipeline")],
+)
+def test_variance_model_and_cost_are_bit_identical_for_any_worker_count_and_split(
+    monkeypatch, pool, n_sources, n_bins, n_frames
+):
+    """The factors, the 1/r buffer, the model terms and the costs. Each frame's terms are summed
+    in one fixed order, so the model term does not depend on how many frames share a block; at
+    the ``pipeline`` shape (F=513, T=628) a per-block ``np.sum(axis=(0, 1))`` would depend on it."""
+    outputs, dm = _variance_model_instance(n_sources, n_bins, n_frames)
+    nbytes = outputs.nbytes // 2  # one real (F, N, T) array
     monkeypatch.setattr(linalg, "WORKERS", 1)
-    serial = _model_sweeps(power, dm)  # each call inline, and each NMF half in one range
-    # 2 workers in small blocks; 3 workers in 21 NMF and 12 cost blocks; one bin or frame per block;
-    # one thread, whose blocks all run on the caller; and 8 workers, too many for the 5 NMF and 3 cost
-    # blocks to wake the pool, so every call runs inline and each NMF half walks 5 serial sub-ranges
+    serial = _model_sweeps(outputs, dm)  # inline, or in blocks on the caller at the pipeline shape
+    # 2 workers in small blocks; 3 workers in 21 NMF blocks; one bin or frame per block; one thread,
+    # whose blocks all run on the caller, one bin and one frame per sub-range; and 8 workers, too
+    # many for the 5 NMF blocks to wake the pool, so every call runs inline and each NMF half
+    # walks 5 serial sub-ranges
     for workers, block_bytes, pooled in (
         (2, 1 << 12, True),
-        (3, power.nbytes // 4, True),
+        (3, nbytes // 4, True),
         (2, 1, True),
         (1, 1 << 12, False),
-        (8, power.nbytes, False),
+        (8, nbytes, False),
     ):
         monkeypatch.setattr(linalg, "WORKERS", workers)
         monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
         before = pool.submitted
-        blocked = _model_sweeps(power, dm)
+        blocked = _model_sweeps(outputs, dm)
         assert (pool.submitted > before) == pooled
         for want, got in zip(serial, blocked):
             assert np.array_equal(want, got), (workers, block_bytes)
 
 
 def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool):
-    """In blocks, neither the NMF sweep nor the cost allocates a whole (F, N, T) temporary."""
+    """In blocks, neither the NMF sweep nor the initial model term, which carry the cost's model term,
+    allocates a whole (F, N, T) temporary."""
     monkeypatch.setattr(linalg, "WORKERS", 2)
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 14)
-    power, dm = _variance_model_instance(3, n_bins=129, n_frames=316)
+    outputs, _ = _variance_model_instance(3, n_bins=129, n_frames=316)
     model = init_model(3, 2, 129, 316, seed=0)
-    variances = variance(model)
-    nmf_update(model, power, variances)  # the pool's thread is started before measuring
-    scratch = power.copy()
-    for call in (lambda: nmf_update(model, power, variances), lambda: cost(dm, scratch, variances)):
+    inv = np.empty(outputs.shape)
+    nmf_update(model, outputs, inv)  # the pool's thread is started before measuring
+    for sweep in (nmf_update, model_term):
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
-            call()
+            sweep(model, outputs, inv)
             extra = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
-        assert extra < power.nbytes
+        assert extra < inv.nbytes
 
 
 def test_variance_model_stays_within_a_block_when_it_runs_inline(monkeypatch, pool):
@@ -159,19 +169,20 @@ def test_variance_model_stays_within_a_block_when_it_runs_inline(monkeypatch, po
     to wake the pool on 2 workers. Each half still walks its range in sub-ranges, so the sweep
     allocates less than one block beyond its inputs (a whole-range half allocates 3 MB)."""
     monkeypatch.setattr(linalg, "WORKERS", 2)
-    power, _ = _variance_model_instance(3, n_bins=129, n_frames=316)
+    outputs, _ = _variance_model_instance(3, n_bins=129, n_frames=316)
     model = init_model(3, 2, 129, 316, seed=0)
-    variances = variance(model)
+    inv = np.empty(outputs.shape)
     before = pool.submitted
-    tracemalloc.start()
-    try:
-        live = tracemalloc.get_traced_memory()[0]
-        nmf_update(model, power, variances)
-        extra = tracemalloc.get_traced_memory()[1] - live
-    finally:
-        tracemalloc.stop()
+    for sweep in (model_term, nmf_update):
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            sweep(model, outputs, inv)
+            extra = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert extra < linalg.BLOCK_BYTES
     assert pool.submitted == before
-    assert extra < linalg.BLOCK_BYTES
 
 
 @pytest.mark.parametrize("workers", [2, 8])
@@ -262,11 +273,11 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
         "separation.iss_source_sweep",
         "ilrma_t.tap_sweep",
         "nmf.update",
-        "nmf.variance",
         "ilrma_t.cost",
         "wpe.filter_update",
         "wpe.dereverb",
     } <= layers
+    assert "nmf.variance" not in layers  # run evaluates the model per block from its factors
     main = threading.main_thread().name
     assert [entry for entry in tracer.threads if entry[1] != main] == []
     assert all(entry["self_ms"] >= 0 for entry in tracer.summary().values())
