@@ -87,11 +87,11 @@ class RunResult:
     scales: np.ndarray | None = None  # projection_back's (F, N) scales; None when it did not run
 
 
-def cost(dm: ExtendedDemixer, n_frames: int, model_term: float) -> float:
+def cost(dm: ExtendedDemixer, n_frames: int, term: float) -> float:
     """Negative log-likelihood of the current filter and variance model.
 
-    ``model_term`` is the variance model's sum(|y|^2/r + log r) over the
-    outputs, which ``nmf_update`` returns; this adds the demixer's
+    ``term`` is the variance model's sum(|y|^2/r + log r) over the outputs,
+    which ``nmf_update`` and ``model_term`` return; this adds the demixer's
     -2 T log|det| over ``n_frames`` frames. A singular separation block is
     an error, not -inf.
     """
@@ -99,7 +99,7 @@ def cost(dm: ExtendedDemixer, n_frames: int, model_term: float) -> float:
     if not np.all(np.isfinite(logdet)):
         bad = int(np.flatnonzero(~np.isfinite(logdet))[0])
         raise NumericalError(f"singular separation block at frequency bin {bad}")
-    return -2.0 * n_frames * float(np.sum(logdet)) + model_term
+    return -2.0 * n_frames * float(np.sum(logdet)) + term
 
 
 def ilrma_t_ip_iteration(
@@ -279,10 +279,10 @@ def run(
     passes |y|^2 through the buffer and leaves the new ``1 / r`` in it, and
     appends the objective. C order lets the steering gains' dot products
     over frames read contiguous memory; the variances are evaluated per
-    block from the factors, f-fastest, the order NMF's rounding depends on. The final outputs
-    are rescaled in place by :func:`projection_back`, except in plain
-    dereverberation and in a zero-iteration run. That run returns the
-    input unchanged, or in the cascades the output of their
+    block from the factors, f-fastest, the order NMF's rounding depends
+    on. The final outputs are rescaled in place by :func:`projection_back`,
+    except in plain dereverberation and in a zero-iteration run. That run
+    returns the input unchanged, or in the cascades the output of their
     ``wpe_iterations`` pre-pass.
 
     ``callback(iteration, outputs, demixer)`` is invoked at iteration 0

@@ -57,7 +57,7 @@ def variance(model: NmfVarianceModel) -> np.ndarray:
 def _evaluate(bases: np.ndarray, activations: np.ndarray, out=None) -> np.ndarray:
     """The model at the frames of ``activations``, floored at ``VARIANCE_FLOOR``, written into ``out`` if given."""
     r = np.einsum("nkf,ntk->fnt", bases, activations, out=out)
-    return np.maximum(r, VARIANCE_FLOOR, out=out)
+    return np.maximum(r, VARIANCE_FLOOR, out=r)
 
 
 def nmf_update(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray) -> float:
