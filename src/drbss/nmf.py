@@ -128,18 +128,22 @@ def _sweep(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray, upd
 def _frame_terms(variances: np.ndarray, power: np.ndarray, sums: np.ndarray) -> None:
     """Write each frame's sum of power/r + log r into ``sums``, then 1/r over ``power``.
 
-    ``variances`` is f-fastest, as ``_evaluate`` makes it, and is overwritten.
-    Each (source, frame) row of bins is reduced as one contiguous row, and the
-    sources' sums are added in source order, so a frame's sum does not depend
-    on how many frames share its block.
+    The terms take the power's C order: passes between it and the f-fastest
+    ``variances`` run faster in that direction. They are summed over bins by
+    folding the upper rows onto the lower ones until one row is left, then
+    over sources in order, so a frame's sum takes the same steps however many
+    frames share its block. ``variances`` is overwritten.
     """
-    terms = np.empty_like(variances)
-    np.divide(power, variances, out=terms)
+    terms = np.divide(power, variances, out=np.empty(power.shape))
     np.divide(1.0, variances, out=power)
     terms += np.log(variances, out=variances)
-    per_source = np.sum(terms, axis=0)
-    sums[:] = per_source[0]
-    for row in per_source[1:]:  # in source order, whatever the block's width
+    rows = len(terms)
+    while rows > 1:
+        half = rows // 2
+        terms[:half] += terms[rows - half : rows]
+        rows -= half
+    sums[:] = terms[0, 0]
+    for row in terms[0, 1:]:
         sums += row
 
 
