@@ -183,7 +183,7 @@ def _joint_tap_update(
         np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past, out=rhs)
 
     # inv, outputs and the right-hand side's 2 temporaries
-    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs, pooled=True)
+    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs)
     sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
     gains = sol[..., 0].conj()
     dm.top[:, :, n:] -= gains

@@ -91,27 +91,28 @@ def checked_solve(
     return out
 
 
-def over_bins(kernel, working_bytes: int, *arrays: np.ndarray | range) -> None:
+def over_bins(kernel, working_bytes: int, *arrays: np.ndarray | range, pooled: bool = True) -> None:
     """Run ``kernel(*blocks)`` over contiguous slices of the leading (bin) axis of ``arrays``.
 
     A kernel that blocks another axis of its operands takes ``range(n)`` and slices them itself.
 
-    Inline unless the ``working_bytes`` the kernel touches fill two ``BLOCK_BYTES`` blocks
-    per worker; then in equal blocks, a multiple of ``WORKERS`` of them, every ``WORKERS``-th
-    on the caller and the rest on the pool. A per-bin kernel is bit-identical for any split.
+    The only place a walk is sized: a call whose kernel touches ``working_bytes`` runs in
+    ``ceil(working_bytes / BLOCK_BYTES)`` equal blocks (at least one, at most one per bin), in
+    order on the calling thread. If ``pooled`` and that makes two blocks per worker or more, the
+    count is rounded up to a multiple of ``WORKERS``, every ``WORKERS``-th block runs on the
+    caller and the rest on the pool. A per-bin kernel is bit-identical for any split.
     Pool blocks run in a copy of the caller's context, so its ``np.errstate`` holds for them too.
     Every block ends before an exception is re-raised.
     """
     n_bins = len(arrays[0])
-    n_blocks = min(n_bins, -(-working_bytes // BLOCK_BYTES))
-    if n_blocks < 2 * WORKERS:  # waking the pool costs about what fewer blocks would save
-        return kernel(*arrays)
-    n_blocks = min(n_bins, -(-n_blocks // WORKERS) * WORKERS)
+    n_blocks = -(-working_bytes // BLOCK_BYTES)
+    step = WORKERS if pooled and min(n_bins, n_blocks) >= 2 * WORKERS else 1  # fewer blocks: not worth waking the pool
+    n_blocks = max(1, min(n_bins, -(-n_blocks // step) * step))
     edges = [i * n_bins // n_blocks for i in range(n_blocks + 1)]
     blocks = [[a[lo:hi] for a in arrays] for lo, hi in zip(edges, edges[1:])]
-    futures = [_pool.submit(copy_context().run, kernel, *b) for i, b in enumerate(blocks) if i % WORKERS]
+    futures = [_pool.submit(copy_context().run, kernel, *b) for i, b in enumerate(blocks) if i % step]
     try:
-        for b in blocks[::WORKERS]:
+        for b in blocks[::step]:
             kernel(*b)
     finally:
         wait(futures)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import VARIANCE_FLOOR, over_bins
 
 # Lower bound applied to the nonnegative factors themselves, so a
@@ -69,10 +68,9 @@ def nmf_update(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray)
     into the buffer. Then the activations per block of frames, under those
     frames' variances for the new bases. Returns the model term
     sum(|y|^2/r + log r) of the refreshed model, whose 1/r the buffer holds
-    on return (see ``model_term``). Each half walks its block in serial
-    sub-ranges, as many over the whole range as ``over_bins`` would make
-    blocks, also when ``over_bins`` hands it the whole range inline; so its
-    temporaries stay within a block at every shape.
+    on return (see ``model_term``). Each half handles the range of bins or
+    frames ``over_bins`` hands it, a block within ``BLOCK_BYTES`` on any
+    thread, so its temporaries stay within a block at every shape.
     """
     return _sweep(model, outputs, buffer, True)
 
@@ -93,32 +91,26 @@ def _sweep(model: NmfVarianceModel, outputs: np.ndarray, buffer: np.ndarray, upd
         raise ValueError("output and buffer tensor shapes do not match the model")
     bases, activations = model.bases, model.activations
     frame_sums = np.empty(shape[2])
-    # a block touches the buffer and up to four temporaries of its size; a pool block is no
-    # wider than a sub-range, so only an inline half loops
-    working = 5 * buffer.nbytes
-    parts = -(-working // linalg.BLOCK_BYTES)
-    bin_width, frame_width = -(-shape[0] // parts), -(-shape[2] // parts)
+    working = 5 * buffer.nbytes  # a block touches the buffer and up to four temporaries of its size
 
     def bases_block(bins: range) -> None:
-        for lo in range(bins.start, bins.stop, bin_width):
-            f = slice(lo, min(lo + bin_width, bins.stop))
-            power = np.abs(outputs[f], out=buffer[f])
-            np.square(power, out=power)
-            if update:
-                v = _evaluate(bases[:, :, f], activations)
-                num = v * v
-                np.divide(power, num, out=num)  # in the variances' order: a faster einsum, same bits
-                _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
+        f = slice(bins.start, bins.stop)
+        power = np.abs(outputs[f], out=buffer[f])
+        np.square(power, out=power)
+        if update:
+            v = _evaluate(bases[:, :, f], activations)
+            num = v * v
+            np.divide(power, num, out=num)  # in the variances' order: a faster einsum, same bits
+            _scale(bases[:, :, f], activations, "ntk,fnt->nkf", num, v)
 
     def activations_block(frames: range) -> None:
-        for lo in range(frames.start, frames.stop, frame_width):
-            t = slice(lo, min(lo + frame_width, frames.stop))
-            acts, power = activations[:, t], buffer[:, :, t]
-            v = _evaluate(bases, acts)
-            if update:
-                _scale(acts, bases, "nkf,fnt->ntk", power / (v * v), v)
-                _evaluate(bases, acts, out=v)
-            _frame_terms(v, power, frame_sums[t])
+        t = slice(frames.start, frames.stop)
+        acts, power = activations[:, t], buffer[:, :, t]
+        v = _evaluate(bases, acts)
+        if update:
+            _scale(acts, bases, "nkf,fnt->ntk", power / (v * v), v)
+            _evaluate(bases, acts, out=v)
+        _frame_terms(v, power, frame_sums[t])
 
     over_bins(bases_block, working, range(shape[0]))
     over_bins(activations_block, working, range(shape[2]))

@@ -196,15 +196,17 @@ def mix(sources: np.ndarray, cfg: SyntheticRoomConfig) -> MixResult:
     full = np.empty((n, m, n_samples))
     direct = np.zeros((n, m, n_samples))
     for i in range(n):
-        transfers = [_transfer(h, n_samples) for h in rirs[i]]
-        image = _convolve(s[i], *transfers[0], {})[:n_samples]
+        transfer = _transfer(rirs[i][0], n_samples)  # one mic's at a time, mic 0's for the calibration image
+        image = _convolve(s[i], *transfer, {})[:n_samples]
         power = float(np.mean(image**2))
         if power == 0.0:
             raise ValueError(f"source {i} produces a silent image at the first mic")
         scaled[i] = s[i] / np.sqrt(power)
         spectra: dict[int, np.ndarray] = {}
         for j in range(m):
-            full[i, j] = _convolve(scaled[i], *transfers[j], spectra)[:n_samples]
+            if j:
+                transfer = _transfer(rirs[i][j], n_samples)
+            full[i, j] = _convolve(scaled[i], *transfer, spectra)[:n_samples]
             delay, gain = paths[i, j]
             direct[i, j, delay:] = gain * scaled[i, : n_samples - delay]
 

@@ -68,26 +68,21 @@ class StackedObservation:
             rows[:, i * m : (i + 1) * m, lag:] = data[:, :, : t - lag]
         return rows
 
-    def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray, pooled: bool = False) -> None:
-        """``kernel(rows, *blocks)`` per ``BLOCK_BYTES`` slice of bins, ``rows`` a slice's ``gather`` and ``blocks``
-        its slices of ``arrays``; ``extra_bytes`` is what it touches besides ``spec.data``, the gather and one
-        gather-sized scratch. On the calling thread, unless ``pooled`` lets ``over_bins`` share bin blocks with the
-        pool: the Gram steps with one weight track per source take it, while the products and WPE's one-track Gram
-        gain too little from the pool to wait on a second CPU. No call holds every bin's rows."""
+    def over_blocks(self, kernel, past: bool, extra_bytes: int, *arrays: np.ndarray, pooled: bool = True) -> None:
+        """``kernel(rows, *blocks)`` per bin block of ``over_bins``, ``rows`` the block's ``gather`` and ``blocks``
+        its slices of ``arrays``; ``extra_bytes`` is what the kernel touches besides ``spec.data``, the gather and
+        one gather-sized scratch, so ``over_bins`` keeps every block's rows within ``BLOCK_BYTES``. ``pooled`` is
+        passed on: the products and WPE's one-track Gram turn it off, as they gain too little from the pool to
+        wait on a second CPU. No call holds every bin's rows."""
         uncopied = self.lags == (0,)  # at zero taps the gather is the block itself
         data = self.spec.data
         working = (1 + 2 * (len(self.lags) - past) - uncopied) * data.nbytes + extra_bytes
-        width = -(-len(data) * linalg.BLOCK_BYTES // working)  # bins per gather
 
         @wraps(kernel)
         def gathered(data, *blocks):
-            for lo in range(0, len(data), width):
-                kernel(self.gather(data[lo : lo + width], past), *(b[lo : lo + width] for b in blocks))
+            kernel(self.gather(data, past), *blocks)
 
-        if pooled:
-            linalg.over_bins(gathered, working, data, *arrays)
-        else:
-            gathered(data, *arrays)
+        linalg.over_bins(gathered, working, data, *arrays, pooled=pooled)
 
     def apply(self, filters: np.ndarray, out: np.ndarray, past: bool = False) -> np.ndarray:
         """Per slice of bins, ``out = filters @ rows``, or with ``past`` ``out -= filters @ past_rows``; returns ``out``."""
@@ -97,7 +92,7 @@ class StackedObservation:
             if past:
                 out -= product
 
-        self.over_blocks(product_block, past, out.nbytes, filters, out)
+        self.over_blocks(product_block, past, out.nbytes, filters, out, pooled=False)
         return out
 
 

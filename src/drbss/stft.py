@@ -5,10 +5,11 @@ Analysis uses a periodic Hann window; synthesis uses its canonical dual
 rounding for any hop that divides the frame length. Signals are padded
 with ``frame_len - hop`` zeros on both ends plus a tail pad that rounds
 the length up to a multiple of the hop, so every sample receives full
-window coverage. Both directions transform one block of frames at a time,
-its frames and their transforms within ``linalg.BLOCK_BYTES``, straight
-into or out of the ``(bins, channels, frames)`` layout, so neither holds
-a second whole-signal transform.
+window coverage. Both directions transform one ``linalg.over_bins`` block
+of frames at a time on the calling thread, its frames and their transforms
+(16 bytes a sample) within ``BLOCK_BYTES``, straight into or out of the
+``(bins, channels, frames)`` layout, so neither holds a second whole-signal
+transform.
 """
 from __future__ import annotations
 
@@ -100,12 +101,6 @@ def pad_amounts(n_samples: int, config: StftConfig) -> tuple[int, int]:
     return base, base + (-n_samples) % config.hop
 
 
-def _frame_blocks(n_frames: int, n_channels: int, frame_len: int) -> list[tuple[int, int]]:
-    """Consecutive ``[lo, hi)`` frame ranges whose frames and transforms, 16 bytes a sample, fit in ``BLOCK_BYTES``."""
-    width = max(1, linalg.BLOCK_BYTES // (16 * n_channels * frame_len))
-    return [(lo, min(lo + width, n_frames)) for lo in range(0, n_frames, width)]
-
-
 def analyze(signal: np.ndarray, config: StftConfig) -> Spectrogram:
     """Transform a (n_channels, n_samples) signal to a Spectrogram.
 
@@ -130,8 +125,12 @@ def analyze(signal: np.ndarray, config: StftConfig) -> Spectrogram:
     frames = sliding_window_view(padded, config.frame_len, axis=1)[:, :: config.hop, :]  # (M, T, L) view
     window, _ = _windows(config.frame_len, config.hop)
     data = np.empty((config.n_bins, n_channels, frames.shape[1]), dtype=np.complex128)
-    for lo, hi in _frame_blocks(data.shape[2], n_channels, config.frame_len):  # FFTs land in (F, M, T)
+
+    def analysis_block(block: range) -> None:  # FFTs land in (F, M, T)
+        lo, hi = block.start, block.stop
         np.fft.rfft(frames[:, lo:hi] * window, axis=-1, out=data[:, :, lo:hi].transpose(1, 2, 0))
+
+    linalg.over_bins(analysis_block, 16 * frames.size, range(data.shape[2]), pooled=False)
     return Spectrogram(data, config, n_samples)
 
 
@@ -141,12 +140,17 @@ def synthesize(spec: Spectrogram) -> np.ndarray:
     _, dual = _windows(config.frame_len, config.hop)
     n_frames, ratio = spec.n_frames, config.frame_len // config.hop
     out = np.zeros((spec.n_channels, n_frames - 1 + ratio, config.hop))
-    for lo, hi in _frame_blocks(n_frames, spec.n_channels, config.frame_len):
+
+    def synthesis_block(block: range) -> None:
+        lo, hi = block.start, block.stop
         frames = np.fft.irfft(spec.data[:, :, lo:hi].transpose(1, 2, 0), n=config.frame_len, axis=-1)
         frames *= dual
         segments = frames.reshape(spec.n_channels, hi - lo, ratio, config.hop)
-        for r in reversed(range(ratio)):  # hop-long segment r of frame t lands on block t + r: blocks run in
-            out[:, lo + r : hi + r] += segments[:, :, r]  # order, so every sample adds its frames ascending
+        for r in reversed(range(ratio)):  # hop-long segment r of frame t lands on block t + r: serial blocks
+            out[:, lo + r : hi + r] += segments[:, :, r]  # run in order, so every sample adds its frames ascending
+
+    working = 16 * spec.n_channels * n_frames * config.frame_len
+    linalg.over_bins(synthesis_block, working, range(n_frames), pooled=False)
     out = out.reshape(spec.n_channels, -1)
     total = out.shape[1]
     left = config.frame_len - config.hop

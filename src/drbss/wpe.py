@@ -40,7 +40,8 @@ def wpe_filter_update(
         weighted = weighted_gram(past, inv[:, None], normal[:, None])
         np.conj(np.matmul(weighted, data.swapaxes(1, 2), out=rhs), out=rhs)  # shares the weighted copy
 
-    sx.over_blocks(prediction_block, True, sx.spec.data.nbytes + inv.nbytes, sx.spec.data, inv, normal, rhs)
+    working = sx.spec.data.nbytes + inv.nbytes
+    sx.over_blocks(prediction_block, True, working, sx.spec.data, inv, normal, rhs, pooled=False)
     sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
     return sol.conj().swapaxes(1, 2)  # (F, M, NL)
 

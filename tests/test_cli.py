@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import warnings
@@ -36,7 +37,7 @@ from drbss.cli import (
     room_config_from_dict,
     write_wav,
 )
-from drbss.metrics import mean_delta_si_sdr, mixture_baseline
+from drbss.metrics import DB_CAP, mean_delta_si_sdr, mixture_baseline
 
 FS = 8000
 FAST = {"frame_len": 256, "hop": 128, "iterations": 5, "taps": 2}
@@ -478,6 +479,61 @@ def test_eval_names_estimates_longer_than_the_references(tmp_path, capsys):
     assert err.count("\n") == 1 and str(estimates) in err, err
     assert str(shape) in err and str((2, refs.shape[1])) in err, err
     assert not (tmp_path / "scores").exists()
+
+
+def test_eval_resolves_a_refs_directory_and_a_flat_directory_of_wavs(tmp_path, capsys):
+    """``--refs <room>/refs`` picks the mode's subdirectory and ``<room>/mixture.wav``; a flat
+    directory of WAVs is scored as it is, against the ``--mixture`` given. Either way the
+    scores are those of ``--refs <room>``."""
+    sim = simulate_tree(tmp_path, seed=12)
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    for path in (sim / "refs" / "direct").glob("*.wav"):
+        (flat / path.name).write_bytes(path.read_bytes())
+
+    runs = itertools.count()
+
+    def scores(refs, estimates, *flags):
+        out = tmp_path / f"scores{next(runs)}"
+        assert main(["eval", "--refs", str(refs), "--estimates", str(estimates), "--out", str(out), *flags]) == 0
+        return json.loads((out / "metrics.json").read_text())
+
+    for mode, sub in (("direct-path", "direct"), ("anechoic", "anechoic")):
+        estimates = sim / "refs" / sub
+        want = scores(sim, estimates, "--mode", mode)
+        assert want["mode"] == mode and want["si_sdr"] == [DB_CAP] * 2  # scored against refs/<sub>
+        assert scores(sim / "refs", estimates, "--mode", mode) == want
+    want = scores(sim, sim / "refs" / "direct")
+    assert scores(flat, sim / "refs" / "direct", "--mixture", str(sim / "mixture.wav")) == want
+    capsys.readouterr()
+
+
+def test_eval_input_errors_exit_2_with_one_line(tmp_path, capsys):
+    sim = simulate_tree(tmp_path, seed=13)
+    refs, mixture = sim / "refs" / "direct", str(sim / "mixture.wav")
+    empty, uneven, fast = tmp_path / "empty", tmp_path / "uneven", tmp_path / "fast"
+    for directory in (empty, uneven, fast):
+        directory.mkdir()
+    write_wav(uneven / "src00.wav", FS, np.zeros(FS))
+    write_wav(uneven / "src01.wav", FS, np.zeros(FS - 1))
+    for i in range(2):
+        write_wav(fast / f"src{i:02d}.wav", 2 * FS, np.zeros(FS))
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    write_wav(flat / "src00.wav", FS, np.zeros(FS))
+    for argv, text in (
+        (["--refs", str(empty), "--estimates", str(refs), "--mixture", mixture], f"no WAV files in {empty}"),
+        (["--refs", str(sim), "--estimates", str(uneven)], f"{uneven}: mixed signal lengths"),
+        (["--refs", str(flat), "--estimates", str(refs)],
+         f"mixture WAV not found at {tmp_path / 'mixture.wav'}; pass --mixture"),
+        (["--refs", str(sim), "--estimates", str(fast)], "estimates, and mixture have different sample rates"),
+    ):
+        out = tmp_path / "scores"
+        capsys.readouterr()
+        assert main(["eval", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and text in err, err
+        assert not out.exists()
 
 
 def test_bench_rejects_bad_matrix(tmp_path, capsys):

@@ -407,7 +407,7 @@ def test_maintained_outputs_match_fresh_demix():
 def test_run_evaluates_the_variance_model_three_times_per_iteration(monkeypatch):
     """``run`` stores no variances: it evaluates the initial model once per element, and each
     NMF sweep evaluates the model three times per element (the bases half under the state the
-    last sweep left, the activations half before and after its update), inline or in blocks."""
+    last sweep left, the activations half before and after its update), in one block or many."""
     evaluated = []
     original = nmf._evaluate
 

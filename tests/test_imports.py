@@ -1,7 +1,8 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function, class or constant is read somewhere, only
-the STFT module converts array layout, and numpy is the only runtime dependency:
-no module imports scipy, and importing the package loads none of it."""
+the STFT module converts array layout, only ``linalg`` sizes blocks, and numpy
+is the only runtime dependency: no module imports scipy, and importing the
+package loads none of it."""
 
 import ast
 import os
@@ -66,6 +67,38 @@ def test_scanner_flags_a_layout_conversion():
 def test_only_stft_converts_layout():
     """Every per-bin tensor is (F, ..., T); ``stft`` alone converts to and from it."""
     found = {p.name: layout_conversions(p.read_text()) for p in MODULES if p.name != "stft.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+BLOCK_SIZING = {"BLOCK_BYTES", "WORKERS", "_pool"}
+
+
+def block_sizing_reads(source: str) -> list[str]:
+    """Reads in ``source`` of the names that size a walk: as a name, an attribute or an import."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+        hits += [f"line {node.lineno}: {name}" for name in names if name in BLOCK_SIZING]
+    return sorted(hits)
+
+
+def test_scanner_flags_a_block_sizing_read():
+    source = (
+        "from . import linalg\n"
+        "from .linalg import WORKERS, over_bins\n"
+        "width = linalg.BLOCK_BYTES // 16\n"
+        "pool = linalg._pool\n"
+        "over_bins(f, 3, x)\n"
+    )
+    assert block_sizing_reads(source) == ["line 2: WORKERS", "line 3: BLOCK_BYTES", "line 4: _pool"]
+
+
+def test_only_linalg_sizes_blocks():
+    """``linalg.over_bins`` alone turns a working set into blocks; every other module hands it the bytes."""
+    found = {p.name: block_sizing_reads(p.read_text()) for p in MODULES if p.name != "linalg.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -63,6 +63,31 @@ def test_si_sdr_error_contracts():
         si_sdr(np.array([]), np.array([]))
 
 
+def test_si_sdr_of_an_estimate_orthogonal_to_its_reference_is_the_negative_cap():
+    ref = np.tile([1.0, 0.0], 500)
+    assert si_sdr(ref, np.roll(ref, 1)) == -DB_CAP
+
+
+def test_si_sir_error_contracts():
+    refs = np.random.default_rng(14).standard_normal((2, 300))
+    with pytest.raises(ValueError, match="^references must be"):
+        si_sir(refs, refs[0, :299], 0)
+    with pytest.raises(ValueError, match="^references must be"):
+        si_sir(refs[0], refs[0], 0)
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="^target_index out of range$"):
+            si_sir(refs, refs[0], index)
+
+
+def test_mixture_baseline_takes_a_one_channel_mixture():
+    rng = np.random.default_rng(15)
+    ref = rng.standard_normal((1, 2000))
+    mixture = ref[0] + 0.1 * rng.standard_normal(2000)
+    aligned, sdr = mixture_baseline(ref, mixture)
+    assert np.array_equal(aligned, mixture[None, :])
+    assert sdr == [si_sdr(ref[0], mixture)]
+
+
 def test_si_sir_orthonormal_oracle():
     """est = 2 ref0 + 0.5 ref1 gives exactly 10 log10(16) for target 0."""
     rng = np.random.default_rng(3)

@@ -123,11 +123,10 @@ def test_variance_model_and_cost_are_bit_identical_for_any_worker_count_and_spli
     outputs, dm = _variance_model_instance(n_sources, n_bins, n_frames)
     nbytes = outputs.nbytes // 2  # one real (F, N, T) array
     monkeypatch.setattr(linalg, "WORKERS", 1)
-    serial = _model_sweeps(outputs, dm)  # inline, or in blocks on the caller at the pipeline shape
+    serial = _model_sweeps(outputs, dm)  # in serial blocks on the caller
     # 2 workers in small blocks; 3 workers in 21 NMF blocks; one bin or frame per block; one thread,
-    # whose blocks all run on the caller, one bin and one frame per sub-range; and 8 workers, too
-    # many for the 5 NMF blocks to wake the pool, so every call runs inline and each NMF half
-    # walks 5 serial sub-ranges
+    # whose blocks all run on the caller, one bin and one frame per block; and 8 workers, too many
+    # for the 5 NMF blocks to wake the pool, so each NMF half runs 5 serial blocks on the caller
     for workers, block_bytes, pooled in (
         (2, 1 << 12, True),
         (3, nbytes // 4, True),
@@ -166,8 +165,8 @@ def test_variance_model_and_cost_peak_below_one_variance_array(monkeypatch, pool
 
 def test_variance_model_stays_within_a_block_when_it_runs_inline(monkeypatch, pool):
     """At the benchmark's engine shape the NMF sweep fills 3 blocks, too few for ``over_bins``
-    to wake the pool on 2 workers. Each half still walks its range in sub-ranges, so the sweep
-    allocates less than one block beyond its inputs (a whole-range half allocates 3 MB)."""
+    to wake the pool on 2 workers. It still runs each half in those blocks on the calling thread,
+    so the sweep allocates less than one block beyond its inputs (a whole-range half allocates 3 MB)."""
     monkeypatch.setattr(linalg, "WORKERS", 2)
     outputs, _ = _variance_model_instance(3, n_bins=129, n_frames=316)
     model = init_model(3, 2, 129, 316, seed=0)
@@ -185,12 +184,30 @@ def test_variance_model_stays_within_a_block_when_it_runs_inline(monkeypatch, po
     assert pool.submitted == before
 
 
+def test_a_call_too_small_for_the_pool_still_runs_in_blocks_on_the_caller(monkeypatch, pool):
+    """With two workers, a working set of 3 blocks makes 3 equal blocks, too few to wake the pool:
+    the kernel gets 3 ranges in order on the calling thread. ``pooled=False`` keeps 8 there too."""
+    monkeypatch.setattr(linalg, "WORKERS", 2)
+    seen = []
+
+    def kernel(block):
+        seen.append((block, threading.current_thread().name))
+
+    main = threading.current_thread().name
+    linalg.over_bins(kernel, 3 * linalg.BLOCK_BYTES, range(12))
+    assert seen == [(range(0, 4), main), (range(4, 8), main), (range(8, 12), main)]
+    seen.clear()
+    linalg.over_bins(kernel, 8 * linalg.BLOCK_BYTES, range(16), pooled=False)
+    assert seen == [(range(lo, lo + 2), main) for lo in range(0, 16, 2)]
+    assert pool.submitted == 0
+
+
 @pytest.mark.parametrize("workers", [2, 8])
 def test_gram_steps_hold_less_than_the_stacked_tensor(monkeypatch, pool, workers):
     """The IP step, the joint tap update and WPE gather their rows per bin block: each
     allocates less than one (F, D, T) stacked tensor beyond its inputs. At this shape
     2 workers share the IP covariances' and the joint normal equations' blocks with the
-    pool, and 8 run them inline on the calling thread."""
+    pool, and 8 run their blocks on the calling thread."""
     monkeypatch.setattr(linalg, "WORKERS", workers)
     spec, sx, dm, variances, outputs = normal_equation_instance()
     tilde_bytes = stack_rows(sx).nbytes

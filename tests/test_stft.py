@@ -164,7 +164,7 @@ def whole_array_synthesize(spec):
     return out.reshape(spec.n_channels, -1)[:, left : left + spec.n_samples]
 
 
-@pytest.mark.parametrize("block_bytes", [None, 5 << 13])  # 5, 2 and 1 frames per block
+@pytest.mark.parametrize("block_bytes", [None, 5 << 13])  # about 5, 2.5 and 1.7 frames per block
 @pytest.mark.parametrize("n_samples", [16000, 16001])
 @pytest.mark.parametrize("n_channels", [1, 2, 3])
 def test_frame_blocks_match_the_whole_array_transforms(monkeypatch, n_channels, n_samples, block_bytes):
@@ -203,6 +203,15 @@ def test_transforms_hold_less_than_one_extra_spectrogram(n_channels):
     _, synthesis_extra = _extra_bytes(lambda: synthesize(spec))
     assert analysis_extra < spec.data.nbytes
     assert synthesis_extra < spec.data.nbytes
+
+
+def test_synthesize_without_a_length_returns_the_hop_rounded_signal():
+    """With no ``n_samples`` synthesis keeps the tail pad: ``S + (-S) % hop`` samples, the first ``S`` the input."""
+    cfg = StftConfig(256, 64)
+    x = np.random.default_rng(6).standard_normal(1000)
+    y = synthesize(Spectrogram(analyze(x, cfg).data, cfg))
+    assert y.shape == (1, 1000 + (-1000) % 64)
+    assert np.max(np.abs(y[0, :1000] - x)) <= 1e-12
 
 
 def test_synthesize_rejects_inconsistent_length():
