@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import NumericalError, SolveCounter, add_loading, checked_solve, over_bins
 from .nmf import init_model, model_term, nmf_update
-from .separation import ip_update_row, iss_source_sweep, steering_gains, weighted_cov, weighted_gram
+from .separation import ip_update_row, iss_source_sweep, prediction_solve, steering_gains, weighted_cov
 from .stacking import ExtendedDemixer, StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
 from .wpe import wpe_objective, wpe_run
@@ -170,22 +170,13 @@ def _joint_tap_update(
 
     Per source, the best tap row is the projection of the current output
     onto the delayed frames, weighted by the (F, N, T) inverse variances
-    ``inv``: one loaded solve per (frequency, source).
+    ``inv``: WPE's :func:`prediction_solve` with source n's output as the
+    one target of weight track n, one loaded solve per (frequency, source).
     """
-    n, n_lags = dm.n_channels, sx.dim - dm.n_channels
-    if n_lags == 0:
+    n = dm.n_channels
+    if sx.dim == n:
         return
-    normal = np.empty((dm.n_bins, n, n_lags, n_lags), dtype=np.complex128)
-    rhs = np.empty((dm.n_bins, n, n_lags), dtype=np.complex128)
-
-    def normal_block(past, inv, outputs, normal, rhs):
-        weighted_gram(past, inv, normal)
-        np.einsum("fmt,fjt->fmj", outputs.conj() * inv, past, out=rhs)
-
-    # inv, outputs and the right-hand side's 2 temporaries
-    sx.over_blocks(normal_block, True, inv.nbytes + 3 * outputs.nbytes, inv, outputs, normal, rhs)
-    sol = checked_solve(add_loading(normal), rhs[..., None], "tap normal matrix", counter)
-    gains = sol[..., 0].conj()
+    gains = prediction_solve(sx, inv, outputs[:, :, None], "tap normal matrix", counter, pooled=True)[..., 0].conj()
     dm.top[:, :, n:] -= gains
     sx.apply(gains, outputs, past=True)
 

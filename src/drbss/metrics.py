@@ -92,10 +92,12 @@ def cepstral_distance(reference: np.ndarray, estimate: np.ndarray, sample_rate: 
     Frames are 32 ms with half overlap; a frame counts as active when
     its reference energy is within 40 dB of the loudest frame. The
     zeroth cepstral coefficient is excluded, so the measure ignores
-    overall gain.
+    overall gain. It raises below 766 Hz, where a frame is under 25 samples.
     """
     ref, est = _as_signal_pair(reference, estimate)
     frame_len = int(round(0.032 * sample_rate))
+    if frame_len <= _CEPSTRAL_COEFFS:
+        raise ValueError(f"at {sample_rate} Hz the 32 ms frame length {frame_len} is too short for cepstral distance")
     hop = frame_len // 2
     if ref.size < frame_len:
         raise ValueError("signals are shorter than one analysis frame")

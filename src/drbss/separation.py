@@ -10,22 +10,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, checked_solve, over_bins
+from .linalg import DENOMINATOR_GUARD, NumericalError, SolveCounter, add_loading, checked_solve, over_bins
 from .stacking import StackedObservation
 
 
-def weighted_gram(rows: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Weighted Gram matrices sum_t inv v v^H of one bin block, into ``out``, (B, N, D, D).
+def weighted_gram(
+    rows: np.ndarray, inv: np.ndarray, out: np.ndarray, targets: np.ndarray | None = None, rhs: np.ndarray | None = None
+) -> None:
+    """Weighted Gram matrices sum_t inv v v^H of one bin block, into ``out``, (B, K, D, D).
 
-    ``rows`` is (B, D, T) and ``inv`` N real weight tracks, (B, N, T). The tracks share one
-    scratch for conj(rows) * inv, returned as the last one left it; as conj(x) conj(y) ==
-    conj(x y) exactly, each Gram is bit-identical to ``(rows * inv) @ rows.conj().mT``.
+    ``rows`` is (B, D, T) and ``inv`` K real weight tracks, (B, K, T). Given ``targets``, (B, K, J, T), track k
+    also writes the right-hand sides sum_t inv v conj(u) of its J targets u into ``rhs``, (B, K, D, J). The
+    tracks share one scratch for conj(rows) * inv; as conj(x) conj(y) == conj(x y) exactly, each product is
+    bit-identical to ``(rows * inv) @ rows.conj().mT``, or ``(rows * inv) @ targets[:, k].conj().mT``.
     """
     weighted = np.empty_like(rows)
-    for n in range(inv.shape[1]):
-        np.multiply(np.conjugate(rows, out=weighted), inv[:, n, None, :], out=weighted)
-        np.conj(np.matmul(weighted, rows.swapaxes(1, 2), out=out[:, n]), out=out[:, n])
-    return weighted
+    for k in range(inv.shape[1]):
+        np.multiply(np.conjugate(rows, out=weighted), inv[:, k, None, :], out=weighted)
+        np.conj(np.matmul(weighted, rows.swapaxes(1, 2), out=out[:, k]), out=out[:, k])
+        if targets is not None:
+            np.conj(np.matmul(weighted, targets[:, k].swapaxes(1, 2), out=rhs[:, k]), out=rhs[:, k])
+
+
+def prediction_solve(
+    sx: StackedObservation, inv: np.ndarray, targets: np.ndarray, what: str, counter: SolveCounter | None, pooled: bool
+) -> np.ndarray:
+    """Weighted linear-prediction coefficients c, (F, K, L, J), of ``targets`` from the delayed stacked rows.
+
+    Per bin and real weight track k of ``inv``, (F, K, T), it solves sum_t inv p p^H c = sum_t inv p conj(u),
+    loaded, for the L delayed rows p and the J targets u of ``targets[:, k]``, (F, K, J, T): one solve per
+    (bin, track), counted as ``what``, over the bin blocks of ``sx.over_blocks(..., pooled=pooled)``.
+    """
+    lags = sx.dim - sx.n_channels
+    normal = np.empty((*inv.shape[:2], lags, lags), dtype=np.complex128)
+    rhs = np.empty((*inv.shape[:2], lags, targets.shape[2]), dtype=np.complex128)
+    sx.over_blocks(weighted_gram, True, inv.nbytes + targets.nbytes, inv, normal, targets, rhs, pooled=pooled)
+    return checked_solve(add_loading(normal), rhs, what, counter)
 
 
 def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import VARIANCE_FLOOR, SolveCounter, add_loading, checked_solve
+from .linalg import VARIANCE_FLOOR, SolveCounter
 from .nmf import model_cost_in_place
-from .separation import weighted_gram
+from .separation import prediction_solve
 from .stacking import StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
 
@@ -21,29 +21,15 @@ def wpe_variance_update(dereverbed: np.ndarray) -> np.ndarray:
     return np.maximum(np.mean(np.abs(dereverbed) ** 2, axis=1), VARIANCE_FLOOR)
 
 
-def wpe_filter_update(
-    variances: np.ndarray,
-    sx: StackedObservation,
-    counter: SolveCounter | None = None,
-) -> np.ndarray:
-    """Solve the prediction coefficients for the (F, T) variance track.
+def wpe_filter_update(variances: np.ndarray, sx: StackedObservation, counter: SolveCounter | None = None) -> np.ndarray:
+    """Solve the (F, M, M*taps) prediction coefficients for the (F, T) variance track.
 
-    One (loaded) normal-equation solve per frequency, shared by all
-    channels. Returns the (F, M, M*taps) coefficients.
+    It is the joint tap update's :func:`prediction_solve` with one weight track, 1 / variances,
+    and all M channels as its targets: one (loaded) solve per frequency, on the calling thread.
     """
-    n_bins, m, _ = sx.spec.data.shape
-    inv = 1.0 / variances  # (F, T)
-    normal = np.empty((n_bins, sx.dim - m, sx.dim - m), dtype=np.complex128)
-    rhs = np.empty((n_bins, sx.dim - m, m), dtype=np.complex128)
-
-    def prediction_block(past, data, inv, normal, rhs):
-        weighted = weighted_gram(past, inv[:, None], normal[:, None])
-        np.conj(np.matmul(weighted, data.swapaxes(1, 2), out=rhs), out=rhs)  # shares the weighted copy
-
-    working = sx.spec.data.nbytes + inv.nbytes
-    sx.over_blocks(prediction_block, True, working, sx.spec.data, inv, normal, rhs, pooled=False)
-    sol = checked_solve(add_loading(normal), rhs, "prediction normal matrix", counter)
-    return sol.conj().swapaxes(1, 2)  # (F, M, NL)
+    inv, targets = 1.0 / variances[:, None], sx.spec.data[:, None]  # (F, 1, T) and (F, 1, M, T)
+    sol = prediction_solve(sx, inv, targets, "prediction normal matrix", counter, pooled=False)
+    return sol[:, 0].conj().swapaxes(1, 2)  # (F, M, NL)
 
 
 def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:

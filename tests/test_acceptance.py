@@ -108,6 +108,27 @@ def test_criterion_03_zero_tap_reduction_is_bit_identical():
         assert a.trace.costs == b.trace.costs, label
 
 
+def _one_source_tap_fits(seed):
+    """Single source, 3 taps, frozen variances: the prediction filter and the coefficients
+    that the block tap update from an identity separation block implies."""
+    taps = TapConfig(3, 2)
+    res = desk_mixture(seed, n_sources=1, n_samples=6000, rt60=0.2)
+    spec = analyze(res.mixture, StftConfig(256, 128, FS))
+    sx = build_stacked(spec, taps)
+    n_bins, _, n_frames = spec.data.shape
+    rvar = np.random.default_rng(seed + 77).uniform(
+        0.5, 2.0, (1, n_bins, n_frames)
+    ).transpose(1, 0, 2)  # (F, N, T)
+
+    predicted = wpe_filter_update(rvar[:, 0], sx)
+
+    dm = ExtendedDemixer.identity(n_bins, 1, taps)
+    outputs = spec.data.copy()
+    _joint_tap_update(dm, sx, 1.0 / rvar, outputs)
+    _, implied = split_filter(dm)
+    return predicted, implied
+
+
 def test_criterion_04_block_tap_update_matches_prediction_filter():
     """Single source, 3 taps, frozen variances: both fits agree to 1e-8.
 
@@ -115,26 +136,19 @@ def test_criterion_04_block_tap_update_matches_prediction_filter():
     linear-prediction solve answer the same normal equations, so their
     coefficients must coincide to solver precision on every seed.
     """
-    taps = TapConfig(3, 2)
     worst = 0.0
     for seed in range(5):
-        res = desk_mixture(seed, n_sources=1, n_samples=6000, rt60=0.2)
-        spec = analyze(res.mixture, StftConfig(256, 128, FS))
-        sx = build_stacked(spec, taps)
-        n_bins, _, n_frames = spec.data.shape
-        rvar = np.random.default_rng(seed + 77).uniform(
-            0.5, 2.0, (1, n_bins, n_frames)
-        ).transpose(1, 0, 2)  # (F, N, T)
-
-        predicted = wpe_filter_update(rvar[:, 0], sx)
-
-        dm = ExtendedDemixer.identity(n_bins, 1, taps)
-        outputs = spec.data.copy()
-        _joint_tap_update(dm, sx, 1.0 / rvar, outputs)
-        _, implied = split_filter(dm)
-
+        predicted, implied = _one_source_tap_fits(seed)
         worst = max(worst, float(np.abs(implied - predicted).max()))
     assert worst <= 1e-8, f"max coefficient mismatch {worst:.3e}"
+
+
+def test_block_tap_update_is_the_prediction_filter_bit_for_bit():
+    """Criterion 4's instances: with one source both fits run one weighted normal-equation
+    kernel on the same operands, so the implied filter equals the prediction filter exactly."""
+    for seed in range(5):
+        predicted, implied = _one_source_tap_fits(seed)
+        assert np.array_equal(implied, predicted), f"seed {seed}"
 
 
 def test_criterion_05_solve_count_laws():

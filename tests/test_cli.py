@@ -536,6 +536,23 @@ def test_eval_input_errors_exit_2_with_one_line(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_eval_at_a_rate_too_low_for_the_cepstral_distance_exits_2_with_one_line(tmp_path, capsys):
+    """At 40 Hz a 32 ms frame holds one sample: eval names the rate, not a slice step."""
+    rng = np.random.default_rng(0)
+    room = tmp_path / "room"
+    (room / "refs" / "direct").mkdir(parents=True)
+    refs = rng.standard_normal((2, 400))
+    for i, row in enumerate(refs):
+        write_wav(room / "refs" / "direct" / f"src{i:02d}.wav", 40, row)
+    write_wav(room / "mixture.wav", 40, refs + 0.1 * rng.standard_normal(refs.shape))
+    capsys.readouterr()
+    out = tmp_path / "scores"
+    assert main(["eval", "--refs", str(room), "--estimates", str(room / "refs" / "direct"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at 40 Hz the 32 ms frame length 1 is too short for cepstral distance\n" in err, err
+    assert not out.exists()
+
+
 def test_bench_rejects_bad_matrix(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"variants": []}))

@@ -171,6 +171,17 @@ def test_cepstral_distance_errors():
         cepstral_distance(np.ones(10), np.ones(10), FS)  # shorter than a frame
 
 
+@pytest.mark.parametrize("rate, frame_len", [(40, 1), (62, 2), (765, 24)])
+def test_cepstral_distance_rejects_frames_shorter_than_its_coefficients(rate, frame_len):
+    """Below 47 Hz the hop was zero (``slice step cannot be zero``); up to 765 Hz a frame
+    gave fewer than 24 coefficients, and at 62 Hz a noisy estimate scored 0.0."""
+    rng = np.random.default_rng(0)
+    ref = rng.standard_normal(4 * rate)
+    with pytest.raises(ValueError, match=f"at {rate} Hz the 32 ms frame length {frame_len} is too short"):
+        cepstral_distance(ref, ref + rng.standard_normal(ref.size), rate)
+    assert cepstral_distance(ref, ref, 766) == 0.0  # 25 samples: the shortest frame that fits
+
+
 def test_align_permutation_recovers_shuffle():
     rng = np.random.default_rng(9)
     refs = rng.standard_normal((4, 3000))

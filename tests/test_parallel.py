@@ -278,12 +278,11 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
         "sweep",
         "_iss_block",
         "cov_block",
-        "normal_block",
+        "weighted_gram",  # the joint's normal equations
         "bases_block",
         "activations_block",
         "_model_term",
     } <= pool.kernels
-    assert not {"prediction_block", "product_block"} & pool.kernels  # these slice on the calling thread
     layers = {layer for layer, _ in tracer.threads}
     assert {
         "separation.weighted_cov",
@@ -298,6 +297,16 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
     main = threading.main_thread().name
     assert [entry for entry in tracer.threads if entry[1] != main] == []
     assert all(entry["self_ms"] >= 0 for entry in tracer.summary().values())
+
+    sx = build_stacked(spec, TAPS)
+    dm = ExtendedDemixer.identity(spec.n_bins, spec.n_channels, TAPS)
+    submitted = pool.submitted
+    coeffs = wpe_filter_update(np.ones((spec.n_bins, spec.n_frames)), sx)
+    sx.apply(coeffs, spec.data.copy(), past=True)
+    sx.apply(dm.top, np.empty_like(spec.data))
+    assert pool.submitted == submitted  # WPE's Gram and the products slice on the calling thread
+    _joint_tap_update(dm, sx, np.ones(spec.data.shape), spec.data.copy())
+    assert pool.submitted > submitted  # the same kernel at the same sizes, pooled
 
 
 @pytest.mark.parametrize("bad", range(6))

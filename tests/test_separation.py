@@ -228,8 +228,8 @@ def test_normal_equation_builders_are_bit_identical_to_direct_products():
     inv = 1.0 / variances
     weighted = past[:, None, :, :] * inv[:, :, None, :]  # (F, N, NL, T)
     normal = weighted @ past.conj().swapaxes(1, 2)[:, None, :, :]
-    corr = np.einsum("fmt,fjt->fmj", outputs * inv, past.conj())
-    gains = checked_solve(add_loading(normal), corr.conj()[..., None], "oracle")[..., 0].conj()
+    rhs = weighted @ outputs[:, :, None, :].conj().swapaxes(2, 3)  # (F, N, NL, 1)
+    gains = checked_solve(add_loading(normal), rhs, "oracle")[..., 0].conj()
     want_top = dm.top.copy()
     want_top[:, :, n:] -= gains
     want_outputs = outputs - gains @ past
