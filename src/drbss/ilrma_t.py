@@ -176,7 +176,7 @@ def _joint_tap_update(
     n = dm.n_channels
     if sx.dim == n:
         return
-    gains = prediction_solve(sx, inv, outputs[:, :, None], "tap normal matrix", counter, pooled=True)[..., 0].conj()
+    gains = prediction_solve(sx, inv, outputs[:, :, None], "tap normal matrix", counter)[..., 0].conj()
     dm.top[:, :, n:] -= gains
     sx.apply(gains, outputs, past=True)
 

@@ -146,17 +146,3 @@ def _scale(factor: np.ndarray, other: np.ndarray, subscripts: str, num: np.ndarr
     factor *= np.sqrt(num / np.maximum(den, FACTOR_FLOOR))
     np.maximum(factor, FACTOR_FLOOR, out=factor)
 
-
-def model_cost_in_place(power: np.ndarray, variances: np.ndarray) -> float:
-    """Sum of power/r + log r, the variance-model part of the objective.
-
-    ``power`` and ``variances`` share their shape, (F, N, T) or WPE's (F, T)
-    track. The sum is formed in ``power``, which holds power/r + log r on return.
-    """
-    over_bins(_model_term, 3 * power.nbytes, power, variances)
-    return float(np.sum(power))
-
-
-def _model_term(power: np.ndarray, variances: np.ndarray) -> None:
-    np.divide(power, variances, out=power)
-    power += np.log(variances)

@@ -33,18 +33,21 @@ def weighted_gram(
 
 
 def prediction_solve(
-    sx: StackedObservation, inv: np.ndarray, targets: np.ndarray, what: str, counter: SolveCounter | None, pooled: bool
+    sx: StackedObservation, inv: np.ndarray, targets: np.ndarray, what: str, counter: SolveCounter | None
 ) -> np.ndarray:
     """Weighted linear-prediction coefficients c, (F, K, L, J), of ``targets`` from the delayed stacked rows.
 
     Per bin and real weight track k of ``inv``, (F, K, T), it solves sum_t inv p p^H c = sum_t inv p conj(u),
     loaded, for the L delayed rows p and the J targets u of ``targets[:, k]``, (F, K, J, T): one solve per
-    (bin, track), counted as ``what``, over the bin blocks of ``sx.over_blocks(..., pooled=pooled)``.
+    (bin, track), counted as ``what``, over the bin blocks of ``sx.over_blocks``.
     """
     lags = sx.dim - sx.n_channels
     normal = np.empty((*inv.shape[:2], lags, lags), dtype=np.complex128)
     rhs = np.empty((*inv.shape[:2], lags, targets.shape[2]), dtype=np.complex128)
-    sx.over_blocks(weighted_gram, True, inv.nbytes + targets.nbytes, inv, normal, targets, rhs, pooled=pooled)
+    shared = np.may_share_memory(targets, sx.spec.data)  # over_blocks already counts spec.data
+    extra = inv.nbytes + (0 if shared else targets.nbytes)
+    # one track forms one Gram per gathered block, too little to gain from the pool
+    sx.over_blocks(weighted_gram, True, extra, inv, normal, targets, rhs, pooled=inv.shape[1] > 1)
     return checked_solve(add_loading(normal), rhs, what, counter)
 
 

@@ -72,8 +72,8 @@ class StackedObservation:
         """``kernel(rows, *blocks)`` per bin block of ``over_bins``, ``rows`` the block's ``gather`` and ``blocks``
         its slices of ``arrays``; ``extra_bytes`` is what the kernel touches besides ``spec.data``, the gather and
         one gather-sized scratch, so ``over_bins`` keeps every block's rows within ``BLOCK_BYTES``. ``pooled`` is
-        passed on: the products and WPE's one-track Gram turn it off, as they gain too little from the pool to
-        wait on a second CPU. No call holds every bin's rows."""
+        passed on: the products and one-track prediction solves turn it off, as they gain too little from the pool
+        to wait on a second CPU. No call holds every bin's rows."""
         uncopied = self.lags == (0,)  # at zero taps the gather is the block itself
         data = self.spec.data
         working = (1 + 2 * (len(self.lags) - past) - uncopied) * data.nbytes + extra_bytes

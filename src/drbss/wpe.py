@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import VARIANCE_FLOOR, SolveCounter
-from .nmf import model_cost_in_place
 from .separation import prediction_solve
 from .stacking import StackedObservation, TapConfig, build_stacked
 from .stft import Spectrogram
@@ -28,7 +27,7 @@ def wpe_filter_update(variances: np.ndarray, sx: StackedObservation, counter: So
     and all M channels as its targets: one (loaded) solve per frequency, on the calling thread.
     """
     inv, targets = 1.0 / variances[:, None], sx.spec.data[:, None]  # (F, 1, T) and (F, 1, M, T)
-    sol = prediction_solve(sx, inv, targets, "prediction normal matrix", counter, pooled=False)
+    sol = prediction_solve(sx, inv, targets, "prediction normal matrix", counter)
     return sol[:, 0].conj().swapaxes(1, 2)  # (F, M, NL)
 
 
@@ -40,8 +39,10 @@ def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:
 
 def wpe_objective(dereverbed: np.ndarray, variances: np.ndarray) -> float:
     """sum over (f, t) of |z|^2 / (M r) + log r."""
-    n_channels = dereverbed.shape[1]
-    return model_cost_in_place(np.sum(np.abs(dereverbed) ** 2, axis=1) / n_channels, variances)
+    terms = np.sum(np.abs(dereverbed) ** 2, axis=1) / dereverbed.shape[1]
+    terms /= variances
+    terms += np.log(variances)
+    return float(np.sum(terms))
 
 
 def wpe_run(

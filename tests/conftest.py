@@ -21,7 +21,6 @@ from drbss import (
     mix,
     run,
 )
-from drbss.nmf import model_cost_in_place
 
 FS = 8000
 DESK_FRAME = 256
@@ -69,10 +68,15 @@ def stack_rows(sx):
     return np.concatenate(blocks, axis=1)
 
 
+def model_sum(power, variances):
+    """Oracle model term: the sum of power/r + log r over whole arrays of one shape."""
+    return float(np.sum(power / variances + np.log(variances)))
+
+
 def objective(dm, outputs, variances):
     """Oracle objective of ``outputs`` under fixed (F, N, T) ``variances``: ``cost`` with the model
-    term summed from whole arrays by ``model_cost_in_place``."""
-    return cost(dm, outputs.shape[2], model_cost_in_place(np.abs(outputs) ** 2, variances))
+    term summed from whole arrays by ``model_sum``."""
+    return cost(dm, outputs.shape[2], model_sum(np.abs(outputs) ** 2, variances))
 
 
 def zero_tap_stack(x):

@@ -1,8 +1,8 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function, class or constant is read somewhere, only
-the STFT module converts array layout, only ``linalg`` sizes blocks, and numpy
-is the only runtime dependency: no module imports scipy, and importing the
-package loads none of it."""
+the STFT module converts array layout, only ``linalg`` sizes blocks, only the two
+walks take a ``pooled`` flag, and numpy is the only runtime dependency: no module
+imports scipy, and importing the package loads none of it."""
 
 import ast
 import os
@@ -100,6 +100,46 @@ def test_only_linalg_sizes_blocks():
     """``linalg.over_bins`` alone turns a working set into blocks; every other module hands it the bytes."""
     found = {p.name: block_sizing_reads(p.read_text()) for p in MODULES if p.name != "linalg.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def pooled_parameters(source: str) -> list[str]:
+    """Functions and methods in ``source`` that take a ``pooled`` parameter, by qualified name."""
+    hits = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    args = child.args
+                    hits.extend(name for a in args.posonlyargs + args.args + args.kwonlyargs if a.arg == "pooled")
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(hits)
+
+
+def test_scanner_flags_a_pooled_parameter():
+    source = (
+        "def walk(kernel, *arrays, pooled=True):\n"
+        "    def inner(block, pooled):\n"
+        "        pass\n"
+        "class Stack:\n"
+        "    def blocks(self, kernel, *, pooled: bool):\n"
+        "        walk(kernel, pooled=pooled)\n"
+        "def solve(sx, inv):\n"
+        "    walk(sx, inv, pooled=inv.shape[1] > 1)\n"
+    )
+    assert pooled_parameters(source) == ["Stack.blocks", "walk", "walk.inner"]
+
+
+def test_only_the_walks_take_a_pooled_parameter():
+    """Whether a walk pools is decided by ``linalg.over_bins`` and ``StackedObservation.over_blocks``
+    alone; every other function reads it from its input (a one-track prediction solve stays serial)."""
+    found = {f"{p.name}: {name}" for p in MODULES for name in pooled_parameters(p.read_text())}
+    assert found == {"linalg.py: over_bins", "stacking.py: StackedObservation.over_blocks"}
 
 
 def imported_packages(source: str) -> set[str]:

@@ -10,7 +10,6 @@ from drbss import (
     TapConfig,
     cost,
     init_model,
-    linalg,
     model_term,
     nmf_update,
     run,
@@ -18,9 +17,8 @@ from drbss import (
     wpe_variance_update,
 )
 from drbss.linalg import VARIANCE_FLOOR
-from drbss.nmf import model_cost_in_place
 from drbss.wpe import wpe_objective
-from tests.conftest import desk_spectrogram
+from tests.conftest import desk_spectrogram, model_sum
 
 
 def test_init_model_determinism_and_range():
@@ -89,7 +87,7 @@ def test_updates_monotone_in_model_cost():
     diffs = np.diff(costs)
     assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(costs[:-1])))
     assert costs[-1] < costs[0]
-    assert np.isclose(costs[-1], model_cost_in_place(np.abs(outputs) ** 2, variance(model)), rtol=1e-14, atol=0)
+    assert np.isclose(costs[-1], model_sum(np.abs(outputs) ** 2, variance(model)), rtol=1e-14, atol=0)
 
 
 def test_update_handles_zero_power():
@@ -151,27 +149,23 @@ def test_variances_are_f_fastest_and_refreshed_in_place():
         term = sweep(model, outputs, inv)
         r = variance(model)
         assert inv.flags.c_contiguous and np.array_equal(inv, 1.0 / r)
-        assert np.isclose(term, model_cost_in_place(np.abs(outputs) ** 2, r), rtol=1e-15, atol=0)
+        assert np.isclose(term, model_sum(np.abs(outputs) ** 2, r), rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("workers, block_bytes", [(1, linalg.BLOCK_BYTES), (2, 1 << 10)])
-def test_model_cost_sums_in_power_and_takes_a_wpe_track(monkeypatch, workers, block_bytes):
-    """``model_cost_in_place`` sums power/r + log r in ``power`` and leaves ``variances``
-    alone, for (F, N, T) tensors and WPE's (F, T) track alike; ``cost`` adds the term it is
+def test_wpe_objective_is_the_model_sum_of_its_track():
+    """``wpe_objective`` is, bit for bit, the oracle's model sum of the channel-averaged power
+    under WPE's (F, T) track; the oracle's one expression has the bits of a division and an
+    in-place addition, for (F, N, T) tensors and tracks alike; ``cost`` adds the term it is
     given to the log-det term, which the identity filter makes zero."""
-    monkeypatch.setattr(linalg, "WORKERS", workers)
-    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(8)
     z = rng.standard_normal((33, 2, 40)) + 1j * rng.standard_normal((33, 2, 40))
     track = wpe_variance_update(z)
     model = init_model(2, 2, 33, 40, seed=8)
     for power, variances in ((np.abs(z) ** 2, variance(model)), (np.mean(np.abs(z) ** 2, axis=1), track)):
-        kept = variances.copy()
         want = power / variances
         want += np.log(variances)
-        assert model_cost_in_place(power, variances) == float(np.sum(want))
-        assert np.array_equal(power, want) and np.array_equal(variances, kept)
-    assert wpe_objective(z, track) == model_cost_in_place(np.sum(np.abs(z) ** 2, axis=1) / 2, track)
+        assert model_sum(power, variances) == float(np.sum(want))
+    assert wpe_objective(z, track) == model_sum(np.sum(np.abs(z) ** 2, axis=1) / 2, track)
 
-    want = model_cost_in_place(np.abs(z) ** 2, variance(model))
+    want = model_sum(np.abs(z) ** 2, variance(model))
     assert cost(ExtendedDemixer.identity(33, 2, TapConfig(0, 1)), 40, want) == want

@@ -281,7 +281,6 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
         "weighted_gram",  # the joint's normal equations
         "bases_block",
         "activations_block",
-        "_model_term",
     } <= pool.kernels
     layers = {layer for layer, _ in tracer.threads}
     assert {

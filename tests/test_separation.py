@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drbss import NumericalError
+from drbss import AlgorithmVariant, NumericalError, linalg, run, separation
 from drbss.ilrma_t import _joint_tap_update
 from drbss.linalg import add_loading, checked_solve
 from drbss.separation import (
@@ -18,7 +18,7 @@ from drbss.separation import (
 )
 from drbss.stacking import ExtendedDemixer, TapConfig
 from drbss.wpe import wpe_filter_update
-from tests.conftest import normal_equation_instance, objective, stack_rows, zero_tap_stack
+from tests.conftest import desk_spectrogram, normal_equation_instance, objective, stack_rows, zero_tap_stack
 
 
 def random_instance(seed, n_bins=4, n_src=2, n_frames=60):
@@ -186,6 +186,40 @@ def test_iss_zero_pivot_stays_finite():
     iss_update_source(top, outputs, 1.0 / variances, 1)
     assert np.all(np.isfinite(top))
     assert np.all(np.isfinite(outputs))
+
+
+STEERING_VARIANTS = (
+    AlgorithmVariant.ILRMA_ISS,
+    AlgorithmVariant.ILRMA_T_ISS_SEQ,
+    AlgorithmVariant.ILRMA_T_ISS_JOINT,
+    AlgorithmVariant.WPE_ILRMA_ISS,
+)
+
+
+@pytest.mark.parametrize("n_src", [2, 3])
+@pytest.mark.parametrize("variant", STEERING_VARIANTS, ids=lambda v: v.value)
+def test_steering_moves_log_det_by_the_self_gain_alone(monkeypatch, variant, n_src):
+    """A source-steering step multiplies bin f's separation block by I - g e_n^T, so log|det W_f|
+    moves by exactly log|1 - g_n| (the matrix determinant lemma), and no tap step touches the
+    block: the sum of those terms tracks ``slogdet`` at every iteration."""
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 40)  # every sweep is one block of all bins, on the caller
+    spec = desk_spectrogram(0, frame_len=256, hop=64, n_sources=n_src, n_samples=8000)
+    log_det = np.zeros(spec.n_bins)
+    coefficients = separation.iss_coefficients
+
+    def tracked(outputs, inv, n):
+        gains = coefficients(outputs, inv, n)
+        log_det[:] += np.log(np.abs(1.0 - gains[:, n]))
+        return gains
+
+    def check(i, outputs, dm):
+        assert np.abs(np.linalg.slogdet(dm.mixing)[1] - log_det).max() <= 1e-12
+        checked.append(i)
+
+    checked = []
+    monkeypatch.setattr(separation, "iss_coefficients", tracked)
+    run(variant, spec, iterations=30, taps=TapConfig(5, 2), callback=check)
+    assert checked == list(range(31)) and np.abs(log_det).max() > 0
 
 
 def peak_traced_bytes(fn):
