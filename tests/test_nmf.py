@@ -10,6 +10,7 @@ from drbss import (
     TapConfig,
     cost,
     init_model,
+    linalg,
     model_term,
     nmf_update,
     run,
@@ -152,15 +153,27 @@ def test_variances_are_f_fastest_and_refreshed_in_place():
         assert np.isclose(term, model_sum(np.abs(outputs) ** 2, r), rtol=1e-15, atol=0)
 
 
-def test_wpe_objective_is_the_model_sum_of_its_track():
-    """``wpe_objective`` is, bit for bit, the oracle's model sum of the channel-averaged power
-    under WPE's (F, T) track; the oracle's one expression has the bits of a division and an
-    in-place addition, for (F, N, T) tensors and tracks alike; ``cost`` adds the term it is
-    given to the log-det term, which the identity filter makes zero."""
+@pytest.mark.parametrize("workers, block_bytes", [(1, linalg.BLOCK_BYTES), (2, 1 << 10)])
+def test_model_cost_sums_in_power_and_takes_a_wpe_track(monkeypatch, workers, block_bytes):
+    """The model term sums power/r + log r for (F, N, T) tensors and WPE's (F, T) track alike:
+    ``model_term``'s block walk gives, for any split and worker count, the bits it gives in one
+    block, with its 1/r in the buffer; ``wpe_objective`` is, bit for bit, the oracle's model sum
+    of the channel-averaged power under the track; the oracle's one expression has the bits of a
+    division and an in-place addition; ``cost`` adds the term it is given to the log-det term,
+    which the identity filter makes zero."""
     rng = np.random.default_rng(8)
     z = rng.standard_normal((33, 2, 40)) + 1j * rng.standard_normal((33, 2, 40))
     track = wpe_variance_update(z)
     model = init_model(2, 2, 33, 40, seed=8)
+    inv = np.empty(z.shape)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 1 << 30)
+    whole = model_term(model, z, inv)
+    monkeypatch.setattr(linalg, "WORKERS", workers)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", block_bytes)
+    inv[...] = 0.0
+    assert model_term(model, z, inv) == whole
+    assert np.array_equal(inv, 1.0 / variance(model))
+    assert np.isclose(whole, model_sum(np.abs(z) ** 2, variance(model)), rtol=1e-15, atol=0)
     for power, variances in ((np.abs(z) ** 2, variance(model)), (np.mean(np.abs(z) ** 2, axis=1), track)):
         want = power / variances
         want += np.log(variances)
