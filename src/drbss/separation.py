@@ -55,18 +55,15 @@ def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
     """Frame-averaged covariances sum_t inv v v^H / T of the stacked rows v, (F, N, D, D).
 
     ``inv`` holds the real (F, N, T) inverse variances 1 / r. Each bin block
-    gathers its stacked rows once for every source's ``weighted_gram``.
+    gathers its stacked rows once for every source's ``weighted_gram``; the
+    sums are divided by T once, after the walk.
     """
     n_bins, n_src, n_frames = inv.shape
     if n_frames == 0:
         raise ValueError("cannot average a covariance over zero frames")
     out = np.empty((n_bins, n_src, sx.dim, sx.dim), dtype=np.complex128)
-
-    def cov_block(rows, inv, out):
-        weighted_gram(rows, inv, out)
-        out /= n_frames
-
-    sx.over_blocks(cov_block, False, inv.nbytes, inv, out)
+    sx.over_blocks(weighted_gram, False, inv.nbytes, inv, out)
+    out /= n_frames
     return out
 
 

@@ -49,7 +49,8 @@ class Spectrogram:
     """Complex STFT tensor of shape (n_bins, n_channels, n_frames).
 
     ``n_samples`` remembers the pre-padding signal length so synthesis
-    can trim exactly.
+    can trim exactly; left out, it is the hop-rounded length the frames
+    cover, ``(n_frames + 1) * hop - frame_len``.
     """
 
     data: np.ndarray
@@ -64,6 +65,8 @@ class Spectrogram:
             raise ValueError(
                 f"bin count {self.data.shape[0]} does not match frame_len {self.config.frame_len}"
             )
+        if self.n_samples is None:
+            self.n_samples = (self.n_frames + 1) * self.config.hop - self.config.frame_len
 
     @property
     def n_bins(self) -> int:
@@ -83,16 +86,13 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _windows(frame_len: int, hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Analysis window and its canonical dual for overlap-add synthesis."""
+def _dual_window(frame_len: int, hop: int) -> np.ndarray:
+    """Canonical dual of the analysis window for overlap-add synthesis."""
     window = hann_window(frame_len)
-    # With full coverage, the normalizer at in-frame position i depends
-    # only on i mod hop: it is the sum of w^2 over that residue class.
+    # With full coverage, the normalizer at in-frame position i depends only on i mod hop: it is the
+    # sum of w^2 over that residue class, at least 0.5 for every frame_len and hop StftConfig accepts.
     cola = (window**2).reshape(frame_len // hop, hop).sum(axis=0)
-    if cola.min() < 1e-12:
-        raise ValueError("window/hop combination has a vanishing overlap-add normalizer")
-    dual = window / np.tile(cola, frame_len // hop)
-    return window, dual
+    return window / np.tile(cola, frame_len // hop)
 
 
 def pad_amounts(n_samples: int, config: StftConfig) -> tuple[int, int]:
@@ -123,7 +123,7 @@ def analyze(signal: np.ndarray, config: StftConfig) -> Spectrogram:
     left, right = pad_amounts(n_samples, config)
     padded = np.pad(x, ((0, 0), (left, right)))
     frames = sliding_window_view(padded, config.frame_len, axis=1)[:, :: config.hop, :]  # (M, T, L) view
-    window, _ = _windows(config.frame_len, config.hop)
+    window = hann_window(config.frame_len)
     data = np.empty((config.n_bins, n_channels, frames.shape[1]), dtype=np.complex128)
 
     def analysis_block(block: range) -> None:  # FFTs land in (F, M, T)
@@ -137,7 +137,7 @@ def analyze(signal: np.ndarray, config: StftConfig) -> Spectrogram:
 def synthesize(spec: Spectrogram) -> np.ndarray:
     """Inverse transform back to a (n_channels, n_samples) signal."""
     config = spec.config
-    _, dual = _windows(config.frame_len, config.hop)
+    dual = _dual_window(config.frame_len, config.hop)
     n_frames, ratio = spec.n_frames, config.frame_len // config.hop
     out = np.zeros((spec.n_channels, n_frames - 1 + ratio, config.hop))
 
@@ -152,12 +152,7 @@ def synthesize(spec: Spectrogram) -> np.ndarray:
     working = 16 * spec.n_channels * n_frames * config.frame_len
     linalg.over_bins(synthesis_block, working, range(n_frames), pooled=False)
     out = out.reshape(spec.n_channels, -1)
-    total = out.shape[1]
-    left = config.frame_len - config.hop
-    if spec.n_samples is not None:
-        n_samples = spec.n_samples
-    else:
-        n_samples = total - 2 * left
-    if n_samples < 0 or left + n_samples > total:
+    left, _ = pad_amounts(spec.n_samples, config)
+    if spec.n_samples < 0 or left + spec.n_samples > out.shape[1]:
         raise ValueError("n_samples is inconsistent with the frame count")
-    return out[:, left : left + n_samples]
+    return out[:, left : left + spec.n_samples]

@@ -1,5 +1,7 @@
 """Unified-filter runs: cost, reductions, projection, and bookkeeping."""
 
+import functools
+import itertools
 import sys
 import tracemalloc
 
@@ -11,6 +13,7 @@ from drbss import (
     ExtendedDemixer,
     NumericalError,
     SolveCounter,
+    Spectrogram,
     TapConfig,
     build_stacked,
     cost,
@@ -28,7 +31,14 @@ from drbss import (
 from drbss import ilrma_t, linalg, nmf
 from drbss.ilrma_t import _steering_sweep_over_taps
 from drbss.separation import iss_coefficients, iss_source_sweep, weighted_cov
-from tests.conftest import TAPPED_VARIANTS, desk_spectrogram, normal_equation_instance, objective, stack_rows
+from tests.conftest import (
+    ITERATIVE_VARIANTS,
+    TAPPED_VARIANTS,
+    desk_spectrogram,
+    normal_equation_instance,
+    objective,
+    stack_rows,
+)
 
 SMALL_TAPS = TapConfig(2, 2)
 
@@ -536,3 +546,30 @@ def test_steering_steps_agree_across_inverse_variance_layouts():
         results.append([*gains, top, swept, d.top, tapped])
     for a, b in zip(*results):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
+
+
+@functools.cache
+def _desk_room(n_sources, n_samples):
+    return desk_spectrogram(2, n_sources=n_sources, n_samples=n_samples)
+
+
+def _monotone_cost_cases():
+    short_taps = TapConfig(4, 3)
+    tap_grid = (TapConfig(0, 1), TapConfig(2, 1), short_taps)
+    grid = itertools.product(ITERATIVE_VARIANTS, (2, 3), (1500, 8000), tap_grid, (2.0**-20, 1e-3, 1e3, 2.0**20))
+    rises = "ROADMAP item 3: ilrma-t-ip's cost rises with 4 taps on 13 frames"
+    for variant, n_sources, n_samples, taps, scale in grid:
+        marks = ()
+        if variant is AlgorithmVariant.ILRMA_T_IP and n_samples == 1500 and taps == short_taps:
+            marks = pytest.mark.xfail(strict=True, reason=rises)
+        case = f"{variant.value}-n{n_sources}-s{n_samples}-taps{taps.taps}d{taps.delay}-x{scale:g}"
+        yield pytest.param(variant, n_sources, n_samples, taps, scale, marks=marks, id=case)
+
+
+@pytest.mark.parametrize("variant, n_sources, n_samples, taps, scale", _monotone_cost_cases())
+def test_cost_never_rises_across_scale_taps_and_short_signals(variant, n_sources, n_samples, taps, scale):
+    """13 and 64 frames at 256/128, zero to four taps, inputs scaled far from unit power, 15 iterations."""
+    spec = _desk_room(n_sources, n_samples)
+    scaled = Spectrogram(spec.data * scale, spec.config, spec.n_samples)
+    costs = np.asarray(run(variant, scaled, iterations=15, taps=taps).trace.costs)
+    assert np.all(np.diff(costs) <= 1e-9 * np.abs(costs[:-1]))

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function, class or constant is read somewhere, only
 the STFT module converts array layout, only ``linalg`` sizes blocks, only the two
-walks take a ``pooled`` flag, and numpy is the only runtime dependency: no module
-imports scipy, and importing the package loads none of it."""
+walks take a ``pooled`` flag, every function reads its parameters, and numpy is the
+only runtime dependency: no module imports scipy, and importing the package loads
+none of it."""
 
 import ast
 import os
@@ -102,23 +103,30 @@ def test_only_linalg_sizes_blocks():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def pooled_parameters(source: str) -> list[str]:
-    """Functions and methods in ``source`` that take a ``pooled`` parameter, by qualified name."""
-    hits = []
+def functions(source: str) -> list[tuple[str, ast.FunctionDef]]:
+    """Every function and method in ``source``, nested ones included, with its qualified name."""
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, prefix: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = prefix + child.name
                 if isinstance(child, ast.FunctionDef):
-                    args = child.args
-                    hits.extend(name for a in args.posonlyargs + args.args + args.kwonlyargs if a.arg == "pooled")
-                visit(child, name + ".")
+                    yield name, child
+                yield from visit(child, name + ".")
             else:
-                visit(child, prefix)
+                yield from visit(child, prefix)
 
-    visit(ast.parse(source), "")
-    return sorted(hits)
+    return list(visit(ast.parse(source), ""))
+
+
+def parameters(function: ast.FunctionDef) -> list[ast.arg]:
+    args = function.args
+    return [a for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+
+
+def pooled_parameters(source: str) -> list[str]:
+    """Functions and methods in ``source`` that take a ``pooled`` parameter, by qualified name."""
+    return sorted(name for name, function in functions(source) for a in parameters(function) if a.arg == "pooled")
 
 
 def test_scanner_flags_a_pooled_parameter():
@@ -140,6 +148,43 @@ def test_only_the_walks_take_a_pooled_parameter():
     alone; every other function reads it from its input (a one-track prediction solve stays serial)."""
     found = {f"{p.name}: {name}" for p in MODULES for name in pooled_parameters(p.read_text())}
     assert found == {"linalg.py: over_bins", "stacking.py: StackedObservation.over_blocks"}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of the functions and methods in ``source``, nested ones included, that their body never
+    reads, as ``qualified name: parameter``. An augmented assignment reads its target; ``del`` does not."""
+    hits = []
+    for name, function in functions(source):
+        body = [n for stmt in function.body for n in ast.walk(stmt)]
+        read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {getattr(n.target, "id", None) for n in body if isinstance(n, ast.AugAssign)}
+        hits += [f"{name}: {a.arg}" for a in parameters(function) if a.arg not in read]
+    return hits
+
+
+def test_scanner_flags_an_unread_parameter():
+    source = (
+        "def step(dm, outputs, counter=None, *rest, **options):\n"
+        "    del counter\n"
+        "    outputs *= 2\n"
+        "    def block(top, unused):\n"
+        "        return top + dm\n"
+        "    return block\n"
+        "class Walk:\n"
+        "    def run(self, kernel):\n"
+        "        return self\n"
+        "law = lambda n: 0\n"
+    )
+    assert unread_parameters(source) == [
+        "step: counter", "step: rest", "step: options", "step.block: unused", "Walk.run: kernel",
+    ]
+
+
+def test_every_parameter_is_read():
+    """No function takes a parameter it ignores. ``counter`` of the solve-free steering step is the one
+    exception: every step takes ``(dm, sx, inv, outputs, counter)``, and that step makes no solve to count."""
+    found = {f"{p.name}: {hit}" for p in MODULES for hit in unread_parameters(p.read_text())}
+    assert found == {"ilrma_t.py: ilrma_t_iss_seq_iteration: counter"}
 
 
 def imported_packages(source: str) -> set[str]:

@@ -277,8 +277,7 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
     assert {
         "sweep",
         "_iss_block",
-        "cov_block",
-        "weighted_gram",  # the joint's normal equations
+        "weighted_gram",  # the IP covariances and the joint's normal equations
         "bases_block",
         "activations_block",
     } <= pool.kernels

@@ -7,7 +7,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from drbss import Spectrogram, StftConfig, analyze, linalg, synthesize
-from drbss.stft import _windows, hann_window, pad_amounts
+from drbss.stft import _dual_window, hann_window, pad_amounts
 
 
 def rel_l2(a, b):
@@ -36,9 +36,9 @@ def test_hann_window_is_periodic():
 
 
 def test_cola_rejection():
-    # hop == frame leaves gaps where the window is zero
+    # hop == frame leaves gaps where the window is zero: the config stops it
     with pytest.raises(ValueError):
-        _windows(8, 8)
+        StftConfig(8, 8)
 
 
 def test_frame_count_oracle():
@@ -120,7 +120,7 @@ def test_spectrogram_validation():
 def overlap_add_frame_by_frame(spec):
     """Oracle: the dual-windowed frames added into the signal one frame at a time, in order."""
     cfg = spec.config
-    _, dual = _windows(cfg.frame_len, cfg.hop)
+    dual = _dual_window(cfg.frame_len, cfg.hop)
     frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=cfg.frame_len, axis=-1) * dual
     left = cfg.frame_len - cfg.hop
     out = np.zeros((spec.n_channels, (spec.n_frames - 1) * cfg.hop + cfg.frame_len))
@@ -145,14 +145,14 @@ def whole_array_analyze(x, cfg):
     """Reference: every windowed frame at once, transformed, then one transposed copy."""
     left, right = pad_amounts(x.shape[1], cfg)
     frames = sliding_window_view(np.pad(x, ((0, 0), (left, right))), cfg.frame_len, axis=1)[:, :: cfg.hop, :]
-    window, _ = _windows(cfg.frame_len, cfg.hop)
+    window = hann_window(cfg.frame_len)
     return np.ascontiguousarray(np.fft.rfft(frames * window, axis=-1).transpose(2, 0, 1))
 
 
 def whole_array_synthesize(spec):
     """Reference: every frame's inverse at once, then overlap-add by hop-long segment."""
     cfg = spec.config
-    _, dual = _windows(cfg.frame_len, cfg.hop)
+    dual = _dual_window(cfg.frame_len, cfg.hop)
     frames = np.fft.irfft(spec.data.transpose(1, 2, 0), n=cfg.frame_len, axis=-1)
     frames *= dual
     ratio = cfg.frame_len // cfg.hop
@@ -206,10 +206,13 @@ def test_transforms_hold_less_than_one_extra_spectrogram(n_channels):
 
 
 def test_synthesize_without_a_length_returns_the_hop_rounded_signal():
-    """With no ``n_samples`` synthesis keeps the tail pad: ``S + (-S) % hop`` samples, the first ``S`` the input."""
+    """With no ``n_samples`` a spectrogram carries the hop-rounded length, so synthesis keeps the tail pad:
+    ``S + (-S) % hop`` samples, the first ``S`` the input."""
     cfg = StftConfig(256, 64)
     x = np.random.default_rng(6).standard_normal(1000)
-    y = synthesize(Spectrogram(analyze(x, cfg).data, cfg))
+    spec = Spectrogram(analyze(x, cfg).data, cfg)
+    assert spec.n_samples == 1000 + (-1000) % 64
+    y = synthesize(spec)
     assert y.shape == (1, 1000 + (-1000) % 64)
     assert np.max(np.abs(y[0, :1000] - x)) <= 1e-12
 
