@@ -281,8 +281,7 @@ def _write_trace(path: Path, result: RunResult) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "cost", "cumulative_solves", "wall_ms"])
-        for i, (value, solves) in enumerate(zip(trace.costs, trace.cumulative_solves)):
-            wall = trace.wall_ms[i - 1] if i > 0 else 0.0
+        for i, (value, solves, wall) in enumerate(zip(trace.costs, trace.cumulative_solves, [0.0, *trace.wall_ms])):
             writer.writerow([i, repr(float(value)), solves, f"{wall:.3f}"])
 
 
@@ -291,7 +290,7 @@ def _write_report(path: Path, config: RunConfig, result: RunResult) -> None:
     and one projection-back solve per bin when ``scales`` says it ran."""
     trace, outputs = result.trace, result.outputs  # square: outputs have the mixture's shape
     iters, solves = trace.iterations, trace.cumulative_solves
-    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(outputs.n_channels)
+    expected = VARIANTS[AlgorithmVariant.from_name(config.variant)].solve_law(outputs.n_channels, config.taps)
     measured = (solves[-1] - solves[0]) / (iters * outputs.n_bins) if iters > 0 else 0.0
     report = {
         "config": asdict(config),

@@ -176,7 +176,7 @@ def _joint_tap_update(
     n = dm.n_channels
     if sx.dim == n:
         return
-    gains = prediction_solve(sx, inv, outputs[:, :, None], "tap normal matrix", counter)[..., 0].conj()
+    gains = prediction_solve(sx, inv, outputs[:, :, None], "tap normal matrix", counter)[:, :, 0]
     dm.top[:, :, n:] -= gains
     sx.apply(gains, outputs, past=True)
 
@@ -213,24 +213,27 @@ class VariantSpec:
     each iteration (None for plain dereverberation), ``tapped`` whether
     the filter carries prediction taps, ``wpe_first`` whether a
     dereverberation pass runs before separation, and
-    ``solve_law(n_sources)`` the dense solves per frequency bin per iteration.
+    ``solve_law(n_sources, taps)`` the dense solves per frequency bin per
+    iteration with ``taps`` prediction taps.
     """
 
     step: Callable | None
     tapped: bool
     wpe_first: bool
-    solve_law: Callable[[int], int]
+    solve_law: Callable[[int, int], int]
 
 
 VARIANTS = {
-    AlgorithmVariant.ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, False, lambda n: 2 * n),
-    AlgorithmVariant.ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, False, lambda n: 0),
-    AlgorithmVariant.ILRMA_T_IP: VariantSpec(ilrma_t_ip_iteration, True, False, lambda n: 2 * n),
-    AlgorithmVariant.ILRMA_T_ISS_JOINT: VariantSpec(ilrma_t_iss_joint_iteration, True, False, lambda n: n),
-    AlgorithmVariant.ILRMA_T_ISS_SEQ: VariantSpec(ilrma_t_iss_seq_iteration, True, False, lambda n: 0),
-    AlgorithmVariant.WPE: VariantSpec(None, False, False, lambda n: 1),
-    AlgorithmVariant.WPE_ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, True, lambda n: 2 * n),
-    AlgorithmVariant.WPE_ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, True, lambda n: 0),
+    AlgorithmVariant.ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, False, lambda n, taps: 2 * n),
+    AlgorithmVariant.ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, False, lambda n, taps: 0),
+    AlgorithmVariant.ILRMA_T_IP: VariantSpec(ilrma_t_ip_iteration, True, False, lambda n, taps: 2 * n),
+    AlgorithmVariant.ILRMA_T_ISS_JOINT: VariantSpec(  # without taps, the step is ilrma-iss's: no solves
+        ilrma_t_iss_joint_iteration, True, False, lambda n, taps: n if taps else 0
+    ),
+    AlgorithmVariant.ILRMA_T_ISS_SEQ: VariantSpec(ilrma_t_iss_seq_iteration, True, False, lambda n, taps: 0),
+    AlgorithmVariant.WPE: VariantSpec(None, False, False, lambda n, taps: 1),
+    AlgorithmVariant.WPE_ILRMA_IP: VariantSpec(ilrma_t_ip_iteration, False, True, lambda n, taps: 2 * n),
+    AlgorithmVariant.WPE_ILRMA_ISS: VariantSpec(ilrma_t_iss_seq_iteration, False, True, lambda n, taps: 0),
 }
 # ``run`` looks each step up here, so it can be replaced per variant.
 _ITERATIONS = {v: s.step for v, s in VARIANTS.items() if s.step is not None}
@@ -326,12 +329,11 @@ def _run_wpe(
 ) -> RunResult:
     """Plain dereverberation, with no demixer: the trace carries the prediction objective."""
     trace = CostTrace()
-    started = time.perf_counter()
+    started = None  # state 0 comes from no iteration
 
     def record(i: int, dereverbed: np.ndarray, variances: np.ndarray) -> None:
         nonlocal started
-        value = wpe_objective(dereverbed, variances)
-        trace.record(value, counter.iteration_solves, started if i > 0 else None)
+        trace.record(wpe_objective(dereverbed, variances), counter.iteration_solves, started)
         if callback is not None:
             callback(i, dereverbed, None)
         started = time.perf_counter()

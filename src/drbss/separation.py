@@ -35,7 +35,7 @@ def weighted_gram(
 def prediction_solve(
     sx: StackedObservation, inv: np.ndarray, targets: np.ndarray, what: str, counter: SolveCounter | None
 ) -> np.ndarray:
-    """Weighted linear-prediction coefficients c, (F, K, L, J), of ``targets`` from the delayed stacked rows.
+    """Weighted prediction filters c^H, (F, K, J, L), of ``targets``: the layout ``sx.apply(..., past=True)`` takes.
 
     Per bin and real weight track k of ``inv``, (F, K, T), it solves sum_t inv p p^H c = sum_t inv p conj(u),
     loaded, for the L delayed rows p and the J targets u of ``targets[:, k]``, (F, K, J, T): one solve per
@@ -48,7 +48,7 @@ def prediction_solve(
     extra = inv.nbytes + (0 if shared else targets.nbytes)
     # one track forms one Gram per gathered block, too little to gain from the pool
     sx.over_blocks(weighted_gram, True, extra, inv, normal, targets, rhs, pooled=inv.shape[1] > 1)
-    return checked_solve(add_loading(normal), rhs, what, counter)
+    return checked_solve(add_loading(normal), rhs, what, counter).conj().swapaxes(-1, -2)
 
 
 def weighted_cov(sx: StackedObservation, inv: np.ndarray) -> np.ndarray:
@@ -118,23 +118,17 @@ def iss_coefficients(outputs: np.ndarray, inv: np.ndarray, n: int) -> np.ndarray
     return gains
 
 
-def iss_update_source(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray, n: int) -> None:
-    """Rank-1 source-steering update around pivot source ``n``, in place.
-
-    Subtracts ``gains[m] * row_n`` from every free row of ``top``,
-    (F, N, D), and keeps the outputs consistent incrementally. No linear solves.
-    """
-    gains = iss_coefficients(outputs, inv, n)
-    top -= gains[:, :, None] * top[:, None, n, :]  # the product is whole before the subtraction reads it
-    outputs -= gains[:, :, None] * outputs[:, None, n, :]
-
-
 def iss_source_sweep(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
-    """One steering sweep of the free rows ``top`` over sources 0..N-1 under fixed (F, N, T) inverse variances."""
+    """One steering sweep of the free rows ``top``, (F, N, D), under fixed (F, N, T) inverse variances.
+
+    Per pivot n = 0..N-1, it subtracts ``gains[m] * row_n`` from every free row, in place, and keeps the
+    outputs consistent incrementally. No linear solves.
+    """
+    def pivots(top, outputs, inv):  # one bin block
+        for n in range(outputs.shape[1]):
+            gains = iss_coefficients(outputs, inv, n)
+            top -= gains[:, :, None] * top[:, None, n, :]  # the product is whole before the subtraction reads it
+            outputs -= gains[:, :, None] * outputs[:, None, n, :]
+
     # per pivot it touches the outputs, their weighted copy and update, and inv
-    over_bins(_iss_block, 3 * outputs.nbytes + inv.nbytes, top, outputs, inv)
-
-
-def _iss_block(top: np.ndarray, outputs: np.ndarray, inv: np.ndarray) -> None:
-    for n in range(outputs.shape[1]):
-        iss_update_source(top, outputs, inv, n)
+    over_bins(pivots, 3 * outputs.nbytes + inv.nbytes, top, outputs, inv)

@@ -28,6 +28,9 @@ class TapConfig:
     delay: int
 
     def __post_init__(self) -> None:
+        for name in ("taps", "delay"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.taps < 0:
             raise ValueError("taps must be non-negative")
         if self.delay < 1:

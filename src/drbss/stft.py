@@ -30,6 +30,9 @@ class StftConfig:
     sample_rate: int = 16000
 
     def __post_init__(self) -> None:
+        for name in ("frame_len", "hop", "sample_rate"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.frame_len <= 0 or self.frame_len & (self.frame_len - 1):
             raise ValueError(f"frame_len must be a positive power of two, got {self.frame_len}")
         if self.hop <= 0 or self.frame_len % self.hop:

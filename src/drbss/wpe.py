@@ -21,14 +21,13 @@ def wpe_variance_update(dereverbed: np.ndarray) -> np.ndarray:
 
 
 def wpe_filter_update(variances: np.ndarray, sx: StackedObservation, counter: SolveCounter | None = None) -> np.ndarray:
-    """Solve the (F, M, M*taps) prediction coefficients for the (F, T) variance track.
+    """Solve the (F, M, M*taps) prediction filters for the (F, T) variance track.
 
     It is the joint tap update's :func:`prediction_solve` with one weight track, 1 / variances,
     and all M channels as its targets: one (loaded) solve per frequency, on the calling thread.
     """
     inv, targets = 1.0 / variances[:, None], sx.spec.data[:, None]  # (F, 1, T) and (F, 1, M, T)
-    sol = prediction_solve(sx, inv, targets, "prediction normal matrix", counter)
-    return sol[:, 0].conj().swapaxes(1, 2)  # (F, M, NL)
+    return prediction_solve(sx, inv, targets, "prediction normal matrix", counter)[:, 0]
 
 
 def wpe_dereverb(coeffs: np.ndarray, sx: StackedObservation) -> Spectrogram:
@@ -64,15 +63,13 @@ def wpe_run(
     if taps.taps == 0:
         raise ValueError("prediction needs at least one tap")
     sx = build_stacked(spec, taps)
-    z = spec.data
-    variances = wpe_variance_update(z)
+    variances = wpe_variance_update(spec.data)
+    if callback is not None:
+        callback(0, spec.data, variances)
     out = spec
-    for i in range(iterations + 1):
-        if i > 0:
-            coeffs = wpe_filter_update(variances, sx, counter)
-            out = wpe_dereverb(coeffs, sx)
-            z = out.data
-            variances = wpe_variance_update(z)
+    for i in range(1, iterations + 1):
+        out = wpe_dereverb(wpe_filter_update(variances, sx, counter), sx)
+        variances = wpe_variance_update(out.data)
         if callback is not None:
-            callback(i, z, variances)
+            callback(i, out.data, variances)
     return out

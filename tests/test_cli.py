@@ -274,6 +274,27 @@ def test_separate_solve_law_with_solves(tmp_path):
     assert report["solve_law"]["consistent"] is True
 
 
+def _separate_briefly(sim, out, variant, *flags):
+    return main(["separate", str(sim / "mixture.wav"), "--out", str(out), "--variant", variant,
+                 "--iterations", "2", "--frame-len", "256", "--hop", "128", *flags])
+
+
+@pytest.mark.parametrize("flags", [(), ("--taps", "0")], ids=["default-taps", "zero-taps"])
+@pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
+def test_separate_reports_a_consistent_solve_law_with_and_without_taps(tmp_path, capsys, variant, flags):
+    """The law follows the taps: at zero taps the joint step is ilrma-iss's and makes no solve. A variant
+    that runs WPE, alone or first, needs a tap and exits 2 without one."""
+    sim = simulate_tree(tmp_path, seed=6)
+    capsys.readouterr()
+    code = _separate_briefly(sim, tmp_path / "sep", variant, *flags)
+    if flags and variant.startswith("wpe"):
+        assert code == 2 and "prediction needs at least one tap" in capsys.readouterr().err
+    else:
+        law = json.loads((tmp_path / "sep" / "report.json").read_text())["solve_law"]
+        assert code == 0 and law["consistent"] is True
+        assert law["measured_per_bin_iteration"] == law["expected_per_bin_iteration"]
+
+
 @pytest.mark.parametrize("iterations", [0, 3])
 @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
 def test_report_solve_counts_match_a_counter_passed_to_run(tmp_path, variant, iterations):
@@ -354,6 +375,12 @@ def test_eval_shape_mismatch(tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             cmd_eval(sim, est_dir, out_dir=tmp_path / "ev10")
         assert not (tmp_path / "ev10").exists()
+
+
+def test_eval_rejects_an_unknown_mode(tmp_path):
+    with pytest.raises(ValueError, match="^mode must be 'direct-path' or 'anechoic'$"):
+        cmd_eval(tmp_path, tmp_path, mode="bogus", out_dir=tmp_path / "ev")
+    assert not (tmp_path / "ev").exists()
 
 
 def test_bench_grid_with_failed_cell(tmp_path):

@@ -90,6 +90,17 @@ def test_cost_singular_block_raises():
         cost(dm, 4, 0.0)
 
 
+@pytest.mark.parametrize("variant", list(AlgorithmVariant), ids=lambda v: v.value)
+def test_a_non_finite_objective_raises_at_its_iteration(monkeypatch, variant):
+    """The trace stops a run at the first iteration whose objective is not finite; state 0 is not checked."""
+    if variant is AlgorithmVariant.WPE:
+        monkeypatch.setattr(ilrma_t, "wpe_objective", lambda dereverbed, variances: np.nan)
+    else:
+        monkeypatch.setattr(ilrma_t, "nmf_update", lambda model, outputs, buffer: np.inf)
+    with pytest.raises(NumericalError, match="^non-finite objective at iteration 1$"):
+        run(variant, small_spec(0), iterations=2, taps=SMALL_TAPS)
+
+
 def test_zero_taps_reduces_to_untapped_counterpart():
     """With no taps the unified variants reproduce their plain versions."""
     pairs = [

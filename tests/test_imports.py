@@ -1,12 +1,13 @@
 """Source hygiene: every name a module or test file imports is used in that file,
 every module-level private function, class or constant is read somewhere, only
 the STFT module converts array layout, only ``linalg`` sizes blocks, only the two
-walks take a ``pooled`` flag, every function reads its parameters, and numpy is the
-only runtime dependency: no module imports scipy, and importing the package loads
-none of it."""
+walks take a ``pooled`` flag, every kernel handed to a walk has a name of its own,
+every function reads its parameters, and numpy is the only runtime dependency: no
+module imports scipy, and importing the package loads none of it."""
 
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -148,6 +149,47 @@ def test_only_the_walks_take_a_pooled_parameter():
     alone; every other function reads it from its input (a one-track prediction solve stays serial)."""
     found = {f"{p.name}: {name}" for p in MODULES for name in pooled_parameters(p.read_text())}
     assert found == {"linalg.py: over_bins", "stacking.py: StackedObservation.over_blocks"}
+
+
+WALKS = ("over_bins", "over_blocks")
+
+
+def ambiguous_kernels(sources: dict[str, str]) -> list[str]:
+    """Kernels that the modules in ``sources`` hand to a walk, ``over_bins`` or ``over_blocks``, whose name is not
+    that of exactly one function defined across the modules, nested ones included, as ``module: kernel``. A kernel
+    that is not a plain name, such as a lambda, is named by its source text."""
+    defined = Counter(name.rsplit(".", 1)[-1] for source in sources.values() for name, _ in functions(source))
+    hits = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in WALKS:
+                kernel = node.args[0]
+                name = kernel.id if isinstance(kernel, ast.Name) else ast.unparse(kernel)
+                if defined[name] != 1:
+                    hits.append(f"{module}: {name}")
+    return hits
+
+
+def test_scanner_flags_a_kernel_without_a_name_of_its_own():
+    sources = {
+        "a.py": "def sweep(block):\n    pass\ndef run(x):\n    over_bins(sweep, 1, x)\n    over_bins(lambda b: b, 1, x)\n",
+        "b.py": (
+            "def run(sx):\n"
+            "    def sweep(rows):\n"
+            "        pass\n"
+            "    def gram(rows):\n"
+            "        pass\n"
+            "    sx.over_blocks(gram, True, 0)\n"
+            "    linalg.over_bins(sweep, 1, sx)\n"
+        ),
+    }
+    assert ambiguous_kernels(sources) == ["a.py: sweep", "a.py: lambda b: b", "b.py: sweep"]
+
+
+def test_every_walk_kernel_has_a_name_of_its_own():
+    """The pool sees a kernel by its ``__name__`` alone, and ``test_parallel`` tells the walks apart by it:
+    the source-steering sweep's ``pivots`` and the tap sweep's ``sweep`` among them."""
+    assert ambiguous_kernels({p.name: p.read_text() for p in MODULES}) == []
 
 
 def unread_parameters(source: str) -> list[str]:

@@ -276,7 +276,7 @@ def test_traced_layers_stay_on_the_calling_thread(monkeypatch, pool):
             run(variant, spec, iterations=3, taps=TAPS)
     assert {
         "sweep",
-        "_iss_block",
+        "pivots",
         "weighted_gram",  # the IP covariances and the joint's normal equations
         "bases_block",
         "activations_block",

@@ -12,7 +12,6 @@ from drbss.separation import (
     ip_update_row,
     iss_coefficients,
     iss_source_sweep,
-    iss_update_source,
     weighted_cov,
     weighted_gram,
 )
@@ -115,14 +114,15 @@ def test_ip_nonpositive_projection_norm_raises():
 
 
 def test_iss_self_gain_normalizes_pivot():
-    """After a pivot update its weighted power equals the frame count."""
+    """After a pivot update its weighted power equals the frame count. The last pivot, N-1, is the last
+    update of a sweep to touch its output, so that holds for it when the sweep ends."""
     x, variances = random_instance(6)
     n_bins, n_src, n_frames = x.shape
     top = ExtendedDemixer.identity(n_bins, n_src, TapConfig(0, 1)).top
     outputs = x.copy()
-    iss_update_source(top, outputs, 1.0 / variances, 0)
+    iss_source_sweep(top, outputs, 1.0 / variances)
     weighted_power = np.einsum(
-        "ft,ft->f", np.abs(outputs[:, 0, :]) ** 2, 1.0 / variances[:, 0]
+        "ft,ft->f", np.abs(outputs[:, -1, :]) ** 2, 1.0 / variances[:, -1]
     )
     assert np.allclose(weighted_power, n_frames, rtol=1e-10)
 
@@ -183,7 +183,7 @@ def test_iss_zero_pivot_stays_finite():
     x[:, 1, :] = 0.0
     top = ExtendedDemixer.identity(x.shape[0], 2, TapConfig(0, 1)).top
     outputs = x.copy()
-    iss_update_source(top, outputs, 1.0 / variances, 1)
+    iss_source_sweep(top, outputs, 1.0 / variances)
     assert np.all(np.isfinite(top))
     assert np.all(np.isfinite(outputs))
 

@@ -37,6 +37,14 @@ def test_tap_config_validation():
     TapConfig(0, 1)  # zero taps is a legal degenerate case
 
 
+@pytest.mark.parametrize(
+    "args, name", [((2.5, 1), "taps"), ((True, 1), "taps"), ((2, 1.0), "delay"), ((2, False), "delay")]
+)
+def test_tap_config_rejects_non_integers(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        TapConfig(*args)
+
+
 def test_zero_taps_is_just_the_input():
     spec = random_spec(0)
     sx = build_stacked(spec, TapConfig(0, 2))

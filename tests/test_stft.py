@@ -21,9 +21,25 @@ def test_config_validation():
         StftConfig(256, 200)  # frame < 2 * hop
     with pytest.raises(ValueError):
         StftConfig(256, 0)
+    with pytest.raises(ValueError, match="^sample_rate must be positive$"):
+        StftConfig(256, 64, 0)
     cfg = StftConfig(1024, 256)
     assert cfg.n_bins == 513
     assert cfg.sample_rate == 16000
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1024.0, 256), "frame_len"),
+        ((True, 256), "frame_len"),
+        ((1024, 256.0), "hop"),
+        ((1024, 256, 16000.0), "sample_rate"),
+    ],
+)
+def test_config_rejects_non_integers(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        StftConfig(*args)
 
 
 def test_hann_window_is_periodic():
@@ -100,6 +116,8 @@ def test_analyze_error_contracts():
         analyze(np.zeros(100), cfg)  # shorter than one frame
     with pytest.raises(ValueError):
         analyze(np.array([]), cfg)
+    with pytest.raises(ValueError, match="^signal must have shape"):
+        analyze(np.zeros((1, 2, 4000)), cfg)
     bad = np.ones(4000)
     bad[17] = np.nan
     with pytest.raises(ValueError):
