@@ -274,11 +274,6 @@ def test_separate_solve_law_with_solves(tmp_path):
     assert report["solve_law"]["consistent"] is True
 
 
-def _separate_briefly(sim, out, variant, *flags):
-    return main(["separate", str(sim / "mixture.wav"), "--out", str(out), "--variant", variant,
-                 "--iterations", "2", "--frame-len", "256", "--hop", "128", *flags])
-
-
 @pytest.mark.parametrize("flags", [(), ("--taps", "0")], ids=["default-taps", "zero-taps"])
 @pytest.mark.parametrize("variant", [v.value for v in AlgorithmVariant])
 def test_separate_reports_a_consistent_solve_law_with_and_without_taps(tmp_path, capsys, variant, flags):
@@ -286,7 +281,8 @@ def test_separate_reports_a_consistent_solve_law_with_and_without_taps(tmp_path,
     that runs WPE, alone or first, needs a tap and exits 2 without one."""
     sim = simulate_tree(tmp_path, seed=6)
     capsys.readouterr()
-    code = _separate_briefly(sim, tmp_path / "sep", variant, *flags)
+    code = main(["separate", str(sim / "mixture.wav"), "--out", str(tmp_path / "sep"), "--variant", variant,
+                 "--iterations", "2", "--frame-len", "256", "--hop", "128", *flags])
     if flags and variant.startswith("wpe"):
         assert code == 2 and "prediction needs at least one tap" in capsys.readouterr().err
     else:
